@@ -24,7 +24,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .convergence import run_ladder, self_convergence
-from .tridiag import SingularPivotError
 from .diagnostics import (
     H2_BOUNDARY_STENCIL_NOTE,
     DiagnosticsRecord,
@@ -148,27 +147,46 @@ _CHOICES = {
 _REQUIRED = ("kind", "epsilon", "t_final")
 
 
-def _convert(key: str, value: str, line: int):
-    t = _KEY_TYPES[key]
+def _finite(x: float) -> float:
+    if not math.isfinite(x):
+        raise ValueError(x)
+    return x
+
+
+def _convert(key: str, value: str, line: int, t: Optional[str] = None):
+    """Convert one raw value to the type of `key` (or to type `t`), raising a
+    ConfigError that names key and line.  Floats must be finite."""
+    t = t or _KEY_TYPES[key]
     try:
         if t == "float":
-            return float(value)
+            return _finite(float(value))
         if t == "int":
             f = float(value)
             if int(f) != f:
                 raise ValueError(value)
             return int(f)
         if t == "floatlist":
-            return tuple(float(p) for p in value.split(","))
+            return tuple(_finite(float(p)) for p in value.split(","))
         if t == "str":
             return value
         choices = _CHOICES[t.split(":", 1)[1]]
         if value not in choices:
             raise ValueError(value)
         return value
-    except (ValueError, TypeError):
-        kind = t if ":" not in t else f"one of {_CHOICES[t.split(':', 1)[1]]}"
+    except (ValueError, TypeError, OverflowError):
+        if ":" in t:
+            kind = f"one of {_CHOICES[t.split(':', 1)[1]]}"
+        else:
+            kind = {"float": "finite float", "floatlist": "list of finite floats"}.get(t, t)
         raise ConfigError(key, line, f"cannot parse {value!r} as {kind}") from None
+
+
+def _check_ladder(key: str, line: int, ladder: tuple) -> tuple:
+    if any(not e > 0 for e in ladder) or any(not a > b for a, b in zip(ladder, ladder[1:])):
+        raise ConfigError(
+            key, line, f"must be strictly decreasing positive values, got {ladder}"
+        )
+    return ladder
 
 
 def parse_config(text) -> RunConfig:
@@ -252,13 +270,7 @@ def parse_config(text) -> RunConfig:
             "x_left", _line("x_left") or _line("x_right"),
             f"ibvp runs use the unit interval, got [{cfg.x_left}, {cfg.x_right}]",
         )
-    if any(not e > 0 for e in cfg.eps_ladder) or any(
-        not a > b for a, b in zip(cfg.eps_ladder, cfg.eps_ladder[1:])
-    ):
-        raise ConfigError(
-            "eps_ladder", _line("eps_ladder"),
-            f"must be strictly decreasing positive values, got {cfg.eps_ladder}",
-        )
+    _check_ladder("eps_ladder", _line("eps_ladder"), cfg.eps_ladder)
     if cfg.refine_levels < 1:
         raise ConfigError("refine_levels", _line("refine_levels"), "must be >= 1")
 
@@ -470,6 +482,8 @@ def read_ks_trajectory_csv(path: str, params: KSParams):
         blocks[-1][2].append(c)
         blocks[-1][3].append(u)
 
+    if not blocks:
+        raise ValueError(f"{path}: no data rows after the header")
     x0 = np.array(blocks[0][1])
     if x0.size < 9:
         raise ValueError(f"{path}: need at least 9 nodes per time level, got {x0.size}")
@@ -682,11 +696,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = parse_config(text)
         eps_override = None
         if getattr(args, "eps", None):
-            eps_override = tuple(float(p) for p in args.eps.split(","))
-            if any(not e > 0 for e in eps_override) or any(
-                not a > b for a, b in zip(eps_override, eps_override[1:])
-            ):
-                raise ConfigError("--eps", 0, f"must be strictly decreasing positive values, got {args.eps!r}")
+            eps_override = _check_ladder("--eps", 0, _convert("--eps", args.eps, 0, "floatlist"))
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -715,9 +725,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except SingularPivotError as exc:
-        print(f"run failure: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,5 @@
-"""Thomas solver for the implicit diffusion updates.
+"""Thomas solver: the reference that the FFT diffusion solve in
+``stepping`` is checked against.
 
 Solves A x = rhs where A is tridiagonal,
 
@@ -9,7 +10,7 @@ Solves A x = rhs where A is tridiagonal,
         |          ln-2 dn-1 |
 
 by plain sequential forward elimination and back substitution, without
-pivoting.  Every system this package builds is diagonally dominant
+pivoting.  The backward-Euler diffusion matrices are diagonally dominant
 (1 + 2*lam on the diagonal, -lam off it, or identity rows), for which the
 elimination is unconditionally stable; the dominance of a given system is
 recorded on construction so callers can tell when that guarantee applies.
@@ -98,21 +99,13 @@ def _thomas_py(lower, diag, upper, rhs):
     return x, -1
 
 
-try:  # pragma: no cover - exercised implicitly everywhere
-    from numba import njit
-
-    _thomas = njit(cache=True)(_thomas_py)
-except ImportError:  # pragma: no cover
-    _thomas = _thomas_py
-
-
 def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     """Solve the system; deterministic (same bits for same input).
 
     Raises SingularPivotError with the failing row when a pivot magnitude
     drops below PIVOT_TOL.
     """
-    x, bad = _thomas(system.lower, system.diag, system.upper, system.rhs)
+    x, bad = _thomas_py(system.lower, system.diag, system.upper, system.rhs)
     if bad >= 0:
         raise SingularPivotError(bad)
     return x

@@ -7,7 +7,6 @@ given platform.
 """
 import dataclasses
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,9 +28,6 @@ from chemoflux.stepping import (
     step_viscous,
 )
 from chemoflux.tridiag import TridiagonalSystem, solve_tridiagonal
-
-ARTIFACTS = Path(__file__).resolve().parents[1] / "artifacts"
-
 
 def ibvp_setup(epsilon, t_final=0.5):
     return ProblemSetup(
@@ -180,7 +176,7 @@ def test_criterion_04_entropy_residual_refines_at_second_order():
         f"[criterion 04] residual l2 {l2s[0]:.3e} -> {l2s[1]:.3e}, factor "
         f"{factor:.3f} (>= 3.5), {elapsed:.1f}s: PASS"
     )
-    assert factor >= 3.5  # measured 3.702
+    assert factor >= 3.5  # measured 3.992
     assert elapsed < 60.0
 
 
@@ -236,16 +232,15 @@ def test_criterion_06_vanishing_viscosity_rate_on_the_line(cauchy_ladder):
     assert total < 600.0
 
 
-def test_criterion_07_vanishing_viscosity_rate_between_walls(ibvp_ladder):
+def test_criterion_07_vanishing_viscosity_rate_between_walls(ibvp_ladder, tmp_path):
     """Wall-domain ladder keeps a convergence slope >= 0.70 with monotone errors
     (boundary layers legitimately slow the rate below the line's ~1)."""
     report = ibvp_ladder["report"]
     assert report.grid_meta["dt"] == pytest.approx(1.635445882633638e-4, rel=1e-12)
     lo, hi = report.slope_ci
-    ARTIFACTS.mkdir(exist_ok=True)
     payload = dataclasses.asdict(report)
     payload["passed"] = bool(report.fitted_slope >= 0.70 and report.errors_monotone)
-    emit_report_json(payload, str(ARTIFACTS / "ibvp_ladder_report.json"))
+    emit_report_json(payload, str(tmp_path / "ibvp_ladder_report.json"))
     print(
         f"[criterion 07] slope {report.fitted_slope:.4f} (>= 0.70), ci=({lo:.4f}, "
         f"{hi:.4f}), monotone={report.errors_monotone}, {ibvp_ladder['elapsed']:.1f}s: PASS"
@@ -254,7 +249,7 @@ def test_criterion_07_vanishing_viscosity_rate_between_walls(ibvp_ladder):
     assert lo >= 0.70
     assert report.errors_monotone
     assert ibvp_ladder["elapsed"] < 300.0
-    assert (ARTIFACTS / "ibvp_ladder_report.json").exists()
+    assert (tmp_path / "ibvp_ladder_report.json").exists()
 
 
 def test_criterion_08_uniform_energy_bound_across_the_ladder(cauchy_ladder):

@@ -87,6 +87,10 @@ def test_parse_comments_blanks_and_inline_comments():
         (MINIMAL + "ks_epsilon = -1\n", "ks_epsilon", 4),
         (MINIMAL + "c_anchor = 0\n", "c_anchor", 4),
         (MINIMAL + "alpha_floor = -0.9\n", "alpha_floor", 4),
+        ("kind = ibvp\nepsilon = 0.05\nt_final = inf\n", "t_final", 3),
+        (MINIMAL + "n_cells = 1e400\n", "n_cells", 4),
+        (MINIMAL + "n_cells = inf\n", "n_cells", 4),
+        (MINIMAL + "eps_ladder = 0.1,nan,0.01\n", "eps_ladder", 4),
     ],
 )
 def test_parse_rejects_bad_configs_naming_key_and_line(text, key, line_no):
@@ -96,6 +100,17 @@ def test_parse_rejects_bad_configs_naming_key_and_line(text, key, line_no):
     assert info.value.line == line_no
     assert f"'{key}'" in str(info.value)
     assert f"(line {line_no})" in str(info.value)
+
+
+# t_final = inf is covered at parse level above: through main, a regression
+# would step until max_steps instead of failing
+@pytest.mark.parametrize("extra", ["n_cells = 1e400\n", "eps_ladder = 0.1,nan,0.01\n"])
+def test_exit_2_on_non_finite_config_values(tmp_path, capsys, extra):
+    cfg_path = write(tmp_path, "bad.cfg", MINIMAL + extra)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    key = extra.split(" ", 1)[0]
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "o"))
 
 
 def test_parse_missing_required_key():
@@ -176,6 +191,16 @@ def test_read_trajectory_csv_rejects_malformed_input(tmp_path, mutate, match):
     path = write(tmp_path, "bad.csv", mutate(trajectory_csv_text()))
     with pytest.raises(ValueError, match=match):
         read_ks_trajectory_csv(path, KSParams(1.0, 1.0, 1.0, 0.0))
+
+
+def test_read_trajectory_csv_rejects_header_only_file(tmp_path, capsys):
+    path = write(tmp_path, "empty.csv", "t,x,c,u\n")
+    with pytest.raises(ValueError, match="no data rows") as info:
+        read_ks_trajectory_csv(path, KSParams(1.0, 1.0, 1.0, 0.0))
+    assert path in str(info.value)
+    cfg_path = write(tmp_path, "bridge.cfg", MINIMAL + f"ks_csv = {path}\n")
+    assert main(["transform", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    assert "no data rows" in capsys.readouterr().err
 
 
 def test_read_trajectory_csv_rejects_mismatched_levels(tmp_path):
@@ -315,6 +340,12 @@ def test_converge_eps_override_validation(tmp_path, capsys):
     )
     assert code == 2
     assert "--eps" in capsys.readouterr().err
+    code = main(
+        ["converge", "--config", cfg_path, "--out", str(tmp_path / "o"), "--eps", "0.1,abc,0.01"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'--eps'" in err and "'0.1,abc,0.01'" in err
 
 
 # ------------------------------------------------------- remaining subcommands

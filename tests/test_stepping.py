@@ -11,10 +11,13 @@ from chemoflux.stepping import (
     ProgressError,
     SolverConfig,
     TrajectoryRecorder,
+    _diffuse,
+    _laplacian_symbol,
     integrate,
     step_limit,
     step_viscous,
 )
+from chemoflux.tridiag import TridiagonalSystem, solve_tridiagonal
 
 
 def rest_profile():
@@ -73,6 +76,55 @@ def test_recorder_validation():
     rec = TrajectoryRecorder(stride=2)
     assert rec.far_field_ok is True
     assert rec.records == []
+
+
+# ------------------------------------------------------ implicit diffusion solve
+
+
+def thomas_diffuse(rhs, lam, neumann):
+    """Oracle: assemble I - lam*L with its closure rows and eliminate."""
+    n = rhs.shape[0]
+    lower = np.full(n - 1, -lam)
+    upper = np.full(n - 1, -lam)
+    diag = np.full(n, 1.0 + 2.0 * lam)
+    b = rhs.copy()
+    if neumann:
+        upper[0] = lower[-1] = -2.0 * lam
+    else:
+        diag[0] = diag[-1] = 1.0
+        upper[0] = lower[-1] = 0.0
+        b[0] = b[-1] = 0.0
+    return solve_tridiagonal(TridiagonalSystem(lower, diag, upper, b))
+
+
+@pytest.mark.parametrize("neumann", [True, False])
+@pytest.mark.parametrize("lam", [1e-4, 1.0, 1e3])
+@pytest.mark.parametrize("n", [9, 65, 257, 2049])
+def test_diffusion_solve_matches_tridiagonal_oracle(n, lam, neumann):
+    rng = np.random.default_rng(n)
+    rhs = 1.0 + rng.uniform(-0.5, 0.5, n)
+    x = _diffuse(rhs, lam, neumann)
+    ref = thomas_diffuse(rhs, lam, neumann)
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert not np.any(_diffuse(np.zeros(n), lam, neumann))
+    if neumann:
+        # the k = 0 symbol is 1: the mirror closure keeps the trapezoid sum
+        before, after = trapezoid(rhs, 1.0), trapezoid(x, 1.0)
+        assert abs(after - before) <= 1e-14 * abs(before)
+    else:
+        assert x[0] == 0.0 and x[-1] == 0.0
+
+
+def test_diffusion_symbol_cache_is_keyed_by_size_only():
+    rhs = np.linspace(1.0, 2.0, 129)
+    misses = _laplacian_symbol.cache_info().misses
+    for lam in np.geomspace(1e-4, 1e3, 100):
+        _diffuse(rhs, float(lam), True)
+    info = _laplacian_symbol.cache_info()
+    assert info.currsize <= info.maxsize
+    assert info.misses - misses <= 1
+    assert _laplacian_symbol(129) is _laplacian_symbol(129)
+    assert _laplacian_symbol(129)[0] == 0.0
 
 
 # --------------------------------------------------------- rest-state exactness
