@@ -11,129 +11,25 @@ positivity floor along trajectories, measures the convergence rate of the
 viscous solutions toward the limit as eps shrinks, and translates
 chemotaxis (density, chemoattractant) trajectories into these variables
 via the logarithmic-gradient substitution.
+
+Every public name of the submodules below is re-exported here.
 """
 
-from .convergence import (
-    ConvergenceReport,
-    LadderError,
-    RungError,
-    SelfConvergenceRow,
-    energy_functional,
-    fit_slope,
-    run_ladder,
-    self_convergence,
-)
-from .diagnostics import (
-    H2_BOUNDARY_STENCIL_NOTE,
-    DiagnosticsRecord,
-    EntropyResidualField,
-    FloorReport,
-    NormBundle,
-    audit_record,
-    entropy_monotonicity_check,
-    entropy_residual,
-    norms,
-    positivity_floor_check,
-    trapezoid,
-)
-from .ksbridge import (
-    ConservationFormResidual,
-    KSParams,
-    KSState,
-    RescaleFactors,
-    hopf_cole,
-    inverse_hopf_cole,
-    rescale_to_normalized,
-    residual_vs_conservation_form,
-)
-from .model import (
-    BOUNDARY_TOL,
-    EntropyValue,
-    Family,
-    Grid1D,
-    InitialProfile,
-    Kind,
-    ProblemSetup,
-    State,
-    entropy_pair,
-    flux,
-    make_initial,
-)
-from .stepping import (
-    FAR_FIELD_TOL,
-    DivergenceError,
-    FluxForm,
-    PositivityLossError,
-    ProgressError,
-    SolverConfig,
-    TrajectoryRecorder,
-    coupled_imex_step,
-    integrate,
-    step_limit,
-    step_viscous,
-)
-from .tridiag import SingularPivotError, TridiagonalSystem, solve_tridiagonal
+from . import convergence, diagnostics, ksbridge, model, stepping, tridiag
+from .convergence import *  # noqa: F401,F403
+from .diagnostics import *  # noqa: F401,F403
+from .ksbridge import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .stepping import *  # noqa: F401,F403
+from .tridiag import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # model
-    "BOUNDARY_TOL",
-    "EntropyValue",
-    "Family",
-    "Grid1D",
-    "InitialProfile",
-    "Kind",
-    "ProblemSetup",
-    "State",
-    "entropy_pair",
-    "flux",
-    "make_initial",
-    # stepping
-    "FAR_FIELD_TOL",
-    "DivergenceError",
-    "FluxForm",
-    "PositivityLossError",
-    "ProgressError",
-    "SolverConfig",
-    "TrajectoryRecorder",
-    "coupled_imex_step",
-    "integrate",
-    "step_limit",
-    "step_viscous",
-    # diagnostics
-    "H2_BOUNDARY_STENCIL_NOTE",
-    "DiagnosticsRecord",
-    "EntropyResidualField",
-    "FloorReport",
-    "NormBundle",
-    "audit_record",
-    "entropy_monotonicity_check",
-    "entropy_residual",
-    "norms",
-    "positivity_floor_check",
-    "trapezoid",
-    # convergence
-    "ConvergenceReport",
-    "LadderError",
-    "RungError",
-    "SelfConvergenceRow",
-    "energy_functional",
-    "fit_slope",
-    "run_ladder",
-    "self_convergence",
-    # chemotaxis bridge
-    "ConservationFormResidual",
-    "KSParams",
-    "KSState",
-    "RescaleFactors",
-    "hopf_cole",
-    "inverse_hopf_cole",
-    "rescale_to_normalized",
-    "residual_vs_conservation_form",
-    # linear algebra kernel
-    "SingularPivotError",
-    "TridiagonalSystem",
-    "solve_tridiagonal",
-]
+__all__ = (
+    model.__all__
+    + stepping.__all__
+    + diagnostics.__all__
+    + convergence.__all__
+    + ksbridge.__all__
+    + tridiag.__all__
+)

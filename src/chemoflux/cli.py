@@ -23,10 +23,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .convergence import run_ladder, self_convergence
+from .convergence import check_ladder, run_ladder, self_convergence
 from .diagnostics import (
     H2_BOUNDARY_STENCIL_NOTE,
-    DiagnosticsRecord,
     entropy_monotonicity_check,
     entropy_residual,
     positivity_floor_check,
@@ -39,14 +38,8 @@ from .ksbridge import (
     rescale_to_normalized,
     residual_vs_conservation_form,
 )
-from .model import Family, Grid1D, InitialProfile, Kind, ProblemSetup
-from .stepping import (
-    SolverConfig,
-    TrajectoryRecorder,
-    integrate,
-    step_limit,
-    step_viscous,
-)
+from .model import FieldError, Family, Grid1D, InitialProfile, Kind, ProblemSetup, make_initial
+from .stepping import SolverConfig, TrajectoryRecorder, integrate, step
 
 __all__ = [
     "ConfigError",
@@ -146,6 +139,11 @@ _CHOICES = {
 
 _REQUIRED = ("kind", "epsilon", "t_final")
 
+# field of a domain object -> the config key that sets it, where the names
+# differ; KSParams fields are set by the ks_* keys
+_FIELD_KEYS = {"family": "profile"}
+_KS_KEYS = {"D": "ks_d", "chi": "ks_chi", "alpha_rate": "ks_alpha", "epsilon": "ks_epsilon"}
+
 
 def _finite(x: float) -> float:
     if not math.isfinite(x):
@@ -181,12 +179,16 @@ def _convert(key: str, value: str, line: int, t: Optional[str] = None):
         raise ConfigError(key, line, f"cannot parse {value!r} as {kind}") from None
 
 
-def _check_ladder(key: str, line: int, ladder: tuple) -> tuple:
-    if any(not e > 0 for e in ladder) or any(not a > b for a, b in zip(ladder, ladder[1:])):
-        raise ConfigError(
-            key, line, f"must be strictly decreasing positive values, got {ladder}"
-        )
-    return ladder
+def _build(make, lines: dict, keys: dict = _FIELD_KEYS):
+    """Call a domain constructor.  A FieldError becomes a ConfigError on the
+    first field at fault whose config key appears in `lines` (key -> line),
+    else on the most specific one."""
+    try:
+        return make()
+    except FieldError as exc:
+        names = [keys.get(f, f) for f in exc.fields]
+        key = next((k for k in names if k in lines), names[0])
+        raise ConfigError(key, lines.get(key, 0), str(exc)) from exc
 
 
 def parse_config(text) -> RunConfig:
@@ -223,9 +225,6 @@ def parse_config(text) -> RunConfig:
     vals = {k: _convert(k, v, ln) for k, (v, ln) in raw.items()}
     lines = {k: ln for k, (_, ln) in raw.items()}
 
-    def _line(key):
-        return lines.get(key, 0)
-
     kind = Kind.CAUCHY_TRUNCATED if vals["kind"] == "cauchy" else Kind.IBVP
     ibvp = kind is Kind.IBVP
 
@@ -261,72 +260,25 @@ def parse_config(text) -> RunConfig:
         out_dir=vals.get("out_dir"),
     )
 
-    if cfg.dt is not None and cfg.cfl is not None:
-        raise ConfigError("dt", _line("dt"), "dt and cfl are mutually exclusive")
-    if cfg.dt is None and cfg.cfl is None:
-        cfg.cfl = 0.4
-    if ibvp and not (cfg.x_left == 0.0 and cfg.x_right == 1.0):
-        raise ConfigError(
-            "x_left", _line("x_left") or _line("x_right"),
-            f"ibvp runs use the unit interval, got [{cfg.x_left}, {cfg.x_right}]",
-        )
-    _check_ladder("eps_ladder", _line("eps_ladder"), cfg.eps_ladder)
     if cfg.refine_levels < 1:
-        raise ConfigError("refine_levels", _line("refine_levels"), "must be >= 1")
-
-    def _attribute(keys, msg):
-        # validation messages name the offending field; prefer the longest
-        # key named in the message (most specific), and among those the ones
-        # the config actually sets, before falling back to first-set
-        named = sorted((k for k in keys if k in msg), key=len, reverse=True)
-        for k in named:
-            if k in raw:
-                return k
-        if named:
-            return named[0]
-        return next((k for k in keys if k in raw), keys[0])
-
-    # construct the domain objects once so every type invariant is enforced
-    # before any run starts; attribute failures to the closest key
-    for keys, build in (
-        (("x_left", "x_right", "n_cells"), lambda: build_grid(cfg)),
-        (("width", "amplitude_u", "amplitude_v", "profile"), lambda: build_profile(cfg)),
-        (
-            ("epsilon", "v_infinity", "alpha_floor", "t_final", "kind"),
-            lambda: build_setup(cfg),
-        ),
-        (("dt", "cfl", "max_steps", "stride"), lambda: build_solver(cfg)),
-    ):
-        try:
-            build()
-        except ValueError as exc:
-            key = _attribute(keys, str(exc))
-            raise ConfigError(key, _line(key), str(exc)) from exc
-
-    # echo the resolved alpha_floor instead of leaving it implicit
-    cfg.alpha_floor = build_setup(cfg).alpha_floor
-    try:
-        KSParams(cfg.ks_d, cfg.ks_chi, cfg.ks_alpha, cfg.ks_epsilon)
-        if not cfg.c_anchor > 0:
-            raise ValueError(f"c_anchor must be positive, got {cfg.c_anchor}")
-    except ValueError as exc:
-        # KSParams names its own fields; translate them to config keys
-        msg = str(exc)
-        key = next(
-            (
-                k
-                for frag, k in (
-                    ("c_anchor", "c_anchor"),
-                    ("alpha_rate", "ks_alpha"),
-                    ("epsilon", "ks_epsilon"),
-                    ("chi", "ks_chi"),
-                    ("D ", "ks_d"),
-                )
-                if frag in msg
-            ),
-            "ks_d",
+        raise ConfigError("refine_levels", lines.get("refine_levels", 0), "must be >= 1")
+    if not cfg.c_anchor > 0:
+        raise ConfigError(
+            "c_anchor", lines.get("c_anchor", 0), f"must be positive, got {cfg.c_anchor}"
         )
-        raise ConfigError(key, _line(key), msg) from exc
+
+    # build every domain object once, so each invariant is enforced by its
+    # own constructor before any run starts
+    grid = _build(lambda: build_grid(cfg), lines)
+    setup = _build(lambda: build_setup(cfg), lines)
+    solver = _build(lambda: build_solver(cfg), lines)
+    _build(lambda: TrajectoryRecorder(stride=cfg.stride), lines)
+    _build(lambda: make_initial(setup, grid), lines)
+    _build(lambda: check_ladder(cfg.eps_ladder), lines)
+    _build(lambda: KSParams(cfg.ks_d, cfg.ks_chi, cfg.ks_alpha, cfg.ks_epsilon), lines, _KS_KEYS)
+    # echo the resolved alpha_floor and step policy instead of leaving them implicit
+    cfg.alpha_floor = setup.alpha_floor
+    cfg.cfl = solver.cfl
     return cfg
 
 
@@ -343,10 +295,10 @@ def build_profile(cfg: RunConfig) -> InitialProfile:
     )
 
 
-def build_setup(cfg: RunConfig, epsilon: Optional[float] = None) -> ProblemSetup:
+def build_setup(cfg: RunConfig) -> ProblemSetup:
     return ProblemSetup(
         kind=cfg.kind,
-        epsilon=cfg.epsilon if epsilon is None else epsilon,
+        epsilon=cfg.epsilon,
         t_final=cfg.t_final,
         initial_data=build_profile(cfg),
         v_infinity=cfg.v_infinity,
@@ -355,11 +307,7 @@ def build_setup(cfg: RunConfig, epsilon: Optional[float] = None) -> ProblemSetup
 
 
 def build_solver(cfg: RunConfig) -> SolverConfig:
-    return SolverConfig(
-        dt=cfg.dt,
-        cfl=cfg.cfl if cfg.dt is None else None,
-        max_steps=cfg.max_steps,
-    )
+    return SolverConfig(dt=cfg.dt, cfl=cfg.cfl, max_steps=cfg.max_steps)
 
 
 def _fmt(x: float) -> str:
@@ -421,19 +369,11 @@ def emit_state_csv(state, grid: Grid1D, path: str):
 
 
 def emit_diagnostics_csv(records, path: str):
-    """One row per record, ascending t; accepts DiagnosticsRecords or
-    (State, DiagnosticsRecord) pairs."""
+    """One row per DiagnosticsRecord, ascending t."""
     with _open_out(path) as f:
         f.write(DIAG_COLUMNS + "\n")
-        for rec in records:
-            d = rec if isinstance(rec, DiagnosticsRecord) else rec[1]
-            f.write(
-                ",".join(
-                    _fmt(getattr(d, col))
-                    for col in DIAG_COLUMNS.split(",")
-                )
-                + "\n"
-            )
+        for d in records:
+            f.write(",".join(_fmt(getattr(d, col)) for col in DIAG_COLUMNS.split(",")) + "\n")
 
 
 def _json_default(obj):
@@ -573,10 +513,9 @@ def _cmd_entropy_check(cfg: RunConfig, out: str, quiet: bool) -> int:
     from .stepping import _nominal_dt  # single consumer; keep module surface small
 
     dt = _nominal_dt(final, setup, grid, solver)
-    stepper = step_viscous if setup.epsilon > 0 else step_limit
     cfg_fixed = SolverConfig(dt=dt, max_steps=solver.max_steps)
-    s1 = stepper(final, setup, grid, cfg_fixed)
-    s2 = stepper(s1, setup, grid, cfg_fixed)
+    s1 = step(final, setup, grid, cfg_fixed)
+    s2 = step(s1, setup, grid, cfg_fixed)
     res = entropy_residual(final, s1, s2, grid, setup)
     ok_entropy, worst_gap = entropy_monotonicity_check(rec.diagnostics, grid.dx)
     floor = positivity_floor_check(rec.diagnostics, setup.alpha_floor, grid.dx)
@@ -696,7 +635,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = parse_config(text)
         eps_override = None
         if getattr(args, "eps", None):
-            eps_override = _check_ladder("--eps", 0, _convert("--eps", args.eps, 0, "floatlist"))
+            ladder = _convert("--eps", args.eps, 0, "floatlist")
+            eps_override = _build(lambda: check_ladder(ladder), {}, {"eps_ladder": "--eps"})
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord
-from .model import Grid1D, Kind, ProblemSetup, make_initial
+from .model import FieldError, Grid1D, Kind, ProblemSetup, make_initial
 from .stepping import SolverConfig, TrajectoryRecorder, integrate, _nominal_dt
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "ConvergenceReport",
     "SelfConvergenceRow",
     "LadderError",
+    "check_ladder",
     "run_ladder",
     "fit_slope",
     "self_convergence",
@@ -112,6 +113,19 @@ def energy_functional(diags: Sequence[DiagnosticsRecord]) -> float:
     return float(sup_h2 + integrated)
 
 
+def check_ladder(eps_ladder: Sequence[float]) -> tuple:
+    """The ladder as a tuple of floats: at least 3 values (a slope fit needs
+    3), positive and strictly decreasing."""
+    eps = tuple(float(e) for e in eps_ladder)
+    if len(eps) < 3:
+        raise FieldError("eps_ladder", f"a slope fit needs at least 3 ladder values, got {eps}")
+    if any(not e > 0.0 for e in eps) or any(not a > b for a, b in zip(eps, eps[1:])):
+        raise FieldError(
+            "eps_ladder", f"ladder epsilons must be strictly decreasing positive values, got {eps}"
+        )
+    return eps
+
+
 def _resolve_shared_dt(
     setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, eps_max: float
 ):
@@ -149,13 +163,7 @@ def run_ladder(
     sampled at the shared record times and the max taken.  Any member failure
     raises LadderError naming the epsilon (0.0 for the baseline).
     """
-    eps = tuple(float(e) for e in eps_ladder)
-    if len(eps) < 3:
-        raise ValueError("a slope fit needs at least 3 ladder values")
-    if any(not e > 0.0 for e in eps):
-        raise ValueError(f"ladder epsilons must be positive: {eps}")
-    if any(not a > b for a, b in zip(eps, eps[1:])):
-        raise ValueError(f"ladder epsilons must be strictly decreasing: {eps}")
+    eps = check_ladder(eps_ladder)
 
     dt, policy = _resolve_shared_dt(setup_template, grid, cfg, max(eps))
     cfg_run = replace(cfg, dt=dt, cfl=None)

@@ -207,15 +207,8 @@ def entropy_residual(
     )
 
 
-def _as_diag(rec) -> DiagnosticsRecord:
-    # accept bare records or (State, DiagnosticsRecord) pairs
-    if isinstance(rec, DiagnosticsRecord):
-        return rec
-    return rec[1]
-
-
 def positivity_floor_check(
-    records: Iterable, alpha: float, dx: float = 0.0
+    records: Iterable[DiagnosticsRecord], alpha: float, dx: float = 0.0
 ) -> FloorReport:
     """Check min_v >= alpha * exp(-M(t) * t) - 10*dx^2 along a trajectory.
 
@@ -223,7 +216,7 @@ def positivity_floor_check(
     is therefore stride-dependent).  Pass dx = 0 for the strict floor.
     Failure is reported, never raised.
     """
-    recs = [_as_diag(r) for r in records]
+    recs = list(records)
     assert all(b.t >= a.t for a, b in zip(recs, recs[1:])), "records must be ordered in t"
     tol = 10.0 * dx * dx
     running = 0.0
@@ -244,12 +237,12 @@ def positivity_floor_check(
     )
 
 
-def entropy_monotonicity_check(records: Iterable, dx: float):
+def entropy_monotonicity_check(records: Iterable[DiagnosticsRecord], dx: float):
     """Entropy must not increase between consecutive records beyond the
     scheme-consistency slack of 10*dt*dx^2 per step (summed over a record
     gap that is 10*dx^2*(t2 - t1)).  Returns (ok, worst_excess) where
     worst_excess = max over gaps of (S2 - S1 - slack); ok iff it is <= 0."""
-    recs = [_as_diag(r) for r in records]
+    recs = list(records)
     worst = -math.inf
     for a, b in zip(recs, recs[1:]):
         slack = 10.0 * dx * dx * (b.t - a.t)

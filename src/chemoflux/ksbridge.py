@@ -34,11 +34,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Grid1D, State
+from .model import FieldError, Grid1D
 
 __all__ = [
     "KSParams",
     "KSState",
+    "GradientState",
     "RescaleFactors",
     "ConservationFormResidual",
     "hopf_cole",
@@ -61,13 +62,13 @@ class KSParams:
 
     def __post_init__(self):
         if not self.D > 0.0:
-            raise ValueError(f"D must be positive, got {self.D}")
+            raise FieldError("D", f"D must be positive, got {self.D}")
         if not self.chi > 0.0:
-            raise ValueError(f"chi must be positive, got {self.chi}")
+            raise FieldError("chi", f"chi must be positive, got {self.chi}")
         if not self.alpha_rate > 0.0:
-            raise ValueError(f"alpha_rate must be positive, got {self.alpha_rate}")
+            raise FieldError("alpha_rate", f"alpha_rate must be positive, got {self.alpha_rate}")
         if not self.epsilon >= 0.0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+            raise FieldError("epsilon", f"epsilon must be >= 0, got {self.epsilon}")
 
 
 @dataclass
@@ -93,6 +94,17 @@ class KSState:
             self.params = KSParams(*self.params)
 
 
+@dataclass
+class GradientState:
+    """Conservation-law variables of a chemotaxis state at time t: the density
+    u and the gradient v = -(log c)_x.  Unlike model.State, v legitimately
+    takes either sign, so nothing is checked here."""
+
+    u: np.ndarray
+    v: np.ndarray
+    t: float
+
+
 @dataclass(frozen=True)
 class RescaleFactors:
     """Normalized coefficients and the multiplicative factors for x, t, v."""
@@ -109,20 +121,9 @@ def _midpoint_gradients(c: np.ndarray, dx: float) -> np.ndarray:
     return -(logc[1:] - logc[:-1]) / dx
 
 
-def _gradient_state(u: np.ndarray, v: np.ndarray, t: float) -> State:
-    """Build a State without the v > 0 structural check: here v holds the
-    gradient -(log c)_x, which legitimately takes either sign (the check
-    belongs to the primary systems, where v is a density-like field)."""
-    st = State.__new__(State)
-    st.u = u
-    st.v = v
-    st.t = float(t)
-    return st
-
-
-def hopf_cole(ks: KSState, grid: Grid1D) -> State:
-    """Transform (c, u) to conservation-law variables: State.v holds the
-    gradient -(log c)_x at the nodes, State.u carries the density through."""
+def hopf_cole(ks: KSState, grid: Grid1D) -> GradientState:
+    """Transform (c, u) to conservation-law variables: v is the gradient
+    -(log c)_x at the nodes, u carries the density through."""
     c = ks.c
     if c.shape[0] != grid.n_nodes:
         raise ValueError(f"c has {c.shape[0]} nodes, grid has {grid.n_nodes}")
@@ -134,10 +135,10 @@ def hopf_cole(ks: KSState, grid: Grid1D) -> State:
     # second-order one-sided closure; see the module docstring
     v[0] = 0.5 * (3.0 * m[0] - m[1])
     v[-1] = 0.5 * (3.0 * m[-1] - m[-2])
-    return _gradient_state(ks.u.copy(), v, ks.t)
+    return GradientState(ks.u.copy(), v, float(ks.t))
 
 
-def inverse_hopf_cole(state: State, grid: Grid1D, c_anchor: float) -> np.ndarray:
+def inverse_hopf_cole(state: GradientState, grid: Grid1D, c_anchor: float) -> np.ndarray:
     """Rebuild the positive field c from the gradient variable in state.v,
     anchored by c(x_left) = c_anchor.  Exact discrete inverse of hopf_cole."""
     if not c_anchor > 0.0:

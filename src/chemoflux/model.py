@@ -19,6 +19,8 @@ from typing import Callable, Optional
 import numpy as np
 
 __all__ = [
+    "BOUNDARY_TOL",
+    "FieldError",
     "Kind",
     "Family",
     "Grid1D",
@@ -33,6 +35,15 @@ __all__ = [
 
 #: admissibility tolerance for boundary/far-field values of initial data
 BOUNDARY_TOL = 1e-12
+
+
+class FieldError(ValueError):
+    """An invalid input value.  `fields` names the inputs that could be at
+    fault, most specific first, so a caller can point at the one it set."""
+
+    def __init__(self, fields, message: str):
+        self.fields = (fields,) if isinstance(fields, str) else tuple(fields)
+        super().__init__(message)
 
 
 class Kind(enum.Enum):
@@ -58,11 +69,12 @@ class Grid1D:
 
     def __post_init__(self):
         if not self.x_right > self.x_left:
-            raise ValueError(
-                f"x_right must exceed x_left, got [{self.x_left}, {self.x_right}]"
+            raise FieldError(
+                ("x_left", "x_right"),
+                f"x_right must exceed x_left, got [{self.x_left}, {self.x_right}]",
             )
         if int(self.n_cells) != self.n_cells or self.n_cells < 8:
-            raise ValueError(f"n_cells must be an integer >= 8, got {self.n_cells}")
+            raise FieldError("n_cells", f"n_cells must be an integer >= 8, got {self.n_cells}")
 
     @property
     def dx(self) -> float:
@@ -115,11 +127,13 @@ class InitialProfile:
 
     def __post_init__(self):
         if not self.width > 0:
-            raise ValueError(f"width must be positive, got {self.width}")
+            raise FieldError("width", f"width must be positive, got {self.width}")
         if self.family is Family.CUSTOM and (
             self.custom_u is None or self.custom_v is None
         ):
-            raise ValueError("custom profiles require custom_u and custom_v callables")
+            raise FieldError(
+                ("custom_u", "custom_v"), "custom profiles require custom_u and custom_v callables"
+            )
 
 
 @dataclass(frozen=True)
@@ -140,27 +154,31 @@ class ProblemSetup:
 
     def __post_init__(self):
         if not isinstance(self.kind, Kind):
-            raise ValueError(f"kind must be a Kind, got {self.kind!r}")
+            raise FieldError("kind", f"kind must be a Kind, got {self.kind!r}")
         if not self.epsilon >= 0.0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+            raise FieldError("epsilon", f"epsilon must be >= 0, got {self.epsilon}")
         if not self.v_infinity > 0.0:
-            raise ValueError(f"v_infinity must be positive, got {self.v_infinity}")
+            raise FieldError("v_infinity", f"v_infinity must be positive, got {self.v_infinity}")
         if not self.t_final >= 0.0:
-            raise ValueError(f"t_final must be >= 0, got {self.t_final}")
+            raise FieldError("t_final", f"t_final must be >= 0, got {self.t_final}")
+        at_fault = ("alpha_floor",)
         if self.alpha_floor is None:
             if self.initial_data.family is Family.CUSTOM:
-                raise ValueError(
-                    "alpha_floor must be given explicitly for custom initial data"
+                raise FieldError(
+                    ("alpha_floor", "family"),
+                    "alpha_floor must be given explicitly for custom initial data",
                 )
             object.__setattr__(
                 self,
                 "alpha_floor",
                 self.v_infinity - abs(self.initial_data.amplitude_v),
             )
+            at_fault = ("alpha_floor", "amplitude_v", "v_infinity")
         if not self.alpha_floor > 0.0:
-            raise ValueError(
+            raise FieldError(
+                at_fault,
                 f"alpha_floor must be positive, got {self.alpha_floor} "
-                "(is |amplitude_v| >= v_infinity?)"
+                "(is |amplitude_v| >= v_infinity?)",
             )
 
 
@@ -219,40 +237,48 @@ def make_initial(setup: ProblemSetup, grid: Grid1D) -> State:
 
     Truncated-line runs require far-field contact at the end nodes
     (|u0|, |v0 - v_inf| <= 1e-12); the end nodes are then snapped to the
-    exact far-field constants.  Unit-interval runs require wall
-    compatibility: u0 = 0 at both walls (snapped to exactly zero after the
-    check) and a vanishing one-sided derivative of v0, up to the stencil's
-    own truncation error.  alpha_floor must not exceed min(v0).
+    exact far-field constants.  Unit-interval runs require the grid [0, 1]
+    and wall compatibility: u0 = 0 at both walls (snapped to exactly zero
+    after the check) and a vanishing one-sided derivative of v0, up to the
+    stencil's own truncation error.  alpha_floor must not exceed min(v0).
     """
     prof = setup.initial_data
     if setup.kind is Kind.IBVP and not (grid.x_left == 0.0 and grid.x_right == 1.0):
-        raise ValueError(
-            f"unit-interval runs need the grid [0, 1], got [{grid.x_left}, {grid.x_right}]"
+        raise FieldError(
+            ("x_left", "x_right", "kind"),
+            f"unit-interval runs need the grid [0, 1], got [{grid.x_left}, {grid.x_right}]",
         )
     x = grid.x
+    # shape: the profile fields that decide the data at the domain ends
     if prof.family is Family.GAUSSIAN_BUMP:
         xc = 0.5 * (grid.x_left + grid.x_right)
         bump = np.exp(-(((x - xc) / prof.width) ** 2))
         u0 = prof.amplitude_u * bump
         v0 = setup.v_infinity + prof.amplitude_v * bump
+        shape = ("width", "family")
     elif prof.family is Family.COSINE_PAIR:
         xi = (x - grid.x_left) / (grid.x_right - grid.x_left)
         u0 = prof.amplitude_u * np.sin(np.pi * xi)
         v0 = setup.v_infinity + prof.amplitude_v * np.cos(np.pi * xi)
+        shape = ("family",)
     else:
         u0 = np.asarray(prof.custom_u(x), dtype=float)
         v0 = np.asarray(prof.custom_v(x), dtype=float)
+        shape = ("custom_u", "custom_v")
         if u0.shape != x.shape or v0.shape != x.shape:
-            raise ValueError("custom profile callables must return arrays shaped like x")
+            raise FieldError(shape, "custom profile callables must return arrays shaped like x")
     u0 = u0.astype(float).copy()
     v0 = v0.astype(float).copy()
 
     if np.any(v0 <= 0.0):
         i = int(np.argmin(v0))
-        raise ValueError(f"initial v is not positive: v0[{i}] = {v0[i]}")
+        raise FieldError(
+            ("amplitude_v", "v_infinity") + shape, f"initial v is not positive: v0[{i}] = {v0[i]}"
+        )
     if setup.alpha_floor - float(v0.min()) > 1e-12:
-        raise ValueError(
-            f"alpha_floor = {setup.alpha_floor} exceeds min(v0) = {v0.min()}"
+        raise FieldError(
+            ("alpha_floor", "amplitude_v"),
+            f"alpha_floor = {setup.alpha_floor} exceeds min(v0) = {v0.min()}",
         )
 
     if setup.kind is Kind.CAUCHY_TRUNCATED:
@@ -261,17 +287,19 @@ def make_initial(setup: ProblemSetup, grid: Grid1D) -> State:
             abs(v0[0] - setup.v_infinity), abs(v0[-1] - setup.v_infinity),
         )
         if worst > BOUNDARY_TOL:
-            raise ValueError(
+            raise FieldError(
+                shape + ("x_left", "x_right"),
                 f"initial data do not reach the far field at the domain ends "
                 f"(worst deviation {worst:.3e} > {BOUNDARY_TOL:g}); "
-                "enlarge the domain or shrink the profile width"
+                "enlarge the domain or shrink the profile width",
             )
         u0[0] = u0[-1] = 0.0
         v0[0] = v0[-1] = setup.v_infinity
     else:
         if max(abs(u0[0]), abs(u0[-1])) > BOUNDARY_TOL:
-            raise ValueError(
-                f"wall compatibility violated: u0 ends are ({u0[0]:.3e}, {u0[-1]:.3e})"
+            raise FieldError(
+                shape + ("amplitude_u",),
+                f"wall compatibility violated: u0 ends are ({u0[0]:.3e}, {u0[-1]:.3e})",
             )
         u0[0] = u0[-1] = 0.0
         scale = max(1.0, float(np.max(np.abs(v0 - setup.v_infinity))))
@@ -279,8 +307,9 @@ def make_initial(setup: ProblemSetup, grid: Grid1D) -> State:
         dvl = _one_sided_ddx(v0, grid.dx, left=True)
         dvr = _one_sided_ddx(v0, grid.dx, left=False)
         if max(abs(dvl), abs(dvr)) > tol_v:
-            raise ValueError(
+            raise FieldError(
+                shape + ("amplitude_v",),
                 f"wall compatibility violated: one-sided v0 derivatives are "
-                f"({dvl:.3e}, {dvr:.3e}), tolerance {tol_v:.3e}"
+                f"({dvl:.3e}, {dvr:.3e}), tolerance {tol_v:.3e}",
             )
     return State(u0, v0, 0.0)

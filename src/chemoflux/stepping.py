@@ -39,7 +39,6 @@ compared), keeping temporal error below the second-order spatial error.
 """
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass, field
 from typing import Optional
@@ -47,26 +46,21 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord, audit_record
-from .model import Grid1D, Kind, ProblemSetup, State, make_initial
+from .model import FieldError, Grid1D, Kind, ProblemSetup, State, make_initial
 
 __all__ = [
-    "FluxForm",
+    "FAR_FIELD_TOL",
     "SolverConfig",
     "TrajectoryRecorder",
     "PositivityLossError",
     "DivergenceError",
     "ProgressError",
-    "step_viscous",
-    "step_limit",
+    "step",
     "integrate",
     "coupled_imex_step",
 ]
 
 FAR_FIELD_TOL = 1e-8
-
-
-class FluxForm(enum.Enum):
-    CONSERVATIVE_CENTRAL = "conservative-central"
 
 
 class PositivityLossError(RuntimeError):
@@ -97,29 +91,25 @@ class ProgressError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     """Time-step policy.  Give dt (fixed) or cfl (derived each step), not both;
-    with neither, cfl defaults to 0.4.  space_order is fixed at 2."""
+    with neither, cfl defaults to 0.4."""
 
     dt: Optional[float] = None
     cfl: Optional[float] = None
-    flux_form: FluxForm = FluxForm.CONSERVATIVE_CENTRAL
-    space_order: int = 2
     max_steps: int = 2_000_000
 
     def __post_init__(self):
         if self.dt is not None and self.cfl is not None:
-            raise ValueError("dt and cfl are mutually exclusive")
+            raise FieldError(("dt", "cfl"), "dt and cfl are mutually exclusive")
         if self.dt is None and self.cfl is None:
             object.__setattr__(self, "cfl", 0.4)
         if self.dt is not None and not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+            raise FieldError("dt", f"dt must be positive, got {self.dt}")
         if self.cfl is not None and not 0.0 < self.cfl <= 1.0:
-            raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.space_order != 2:
-            raise ValueError("space_order is fixed at 2")
-        if not isinstance(self.flux_form, FluxForm):
-            raise ValueError(f"flux_form must be a FluxForm, got {self.flux_form!r}")
+            raise FieldError("cfl", f"cfl must lie in (0, 1], got {self.cfl}")
         if int(self.max_steps) != self.max_steps or self.max_steps < 1:
-            raise ValueError(f"max_steps must be a positive integer, got {self.max_steps}")
+            raise FieldError(
+                "max_steps", f"max_steps must be a positive integer, got {self.max_steps}"
+            )
 
 
 @dataclass
@@ -134,7 +124,7 @@ class TrajectoryRecorder:
 
     def __post_init__(self):
         if int(self.stride) != self.stride or self.stride < 1:
-            raise ValueError(f"stride must be a positive integer, got {self.stride}")
+            raise FieldError("stride", f"stride must be a positive integer, got {self.stride}")
 
     def add(self, state: State, diag: DiagnosticsRecord):
         if self.records and not state.t > self.records[-1][0].t:
@@ -250,8 +240,10 @@ def coupled_imex_step(
     return un, vn
 
 
-def _checked_step(state: State, setup: ProblemSetup, grid: Grid1D, dt: float) -> State:
-    t_new = state.t + dt
+def _advance(state: State, setup: ProblemSetup, grid: Grid1D, dt: float, t_new: float) -> State:
+    """One IMEX step of length dt, landing at t_new.  The new State's own
+    checks are the step's only scan for non-finite values and v <= 0; a
+    failure is reported as divergence or positivity loss at t_new."""
     # blow-up is detected by value below, so silence overflow warnings here
     with np.errstate(all="ignore"):
         u, v = coupled_imex_step(
@@ -263,26 +255,20 @@ def _checked_step(state: State, setup: ProblemSetup, grid: Grid1D, dt: float) ->
             ibvp=setup.kind is Kind.IBVP,
             v_inf=setup.v_infinity,
         )
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        raise DivergenceError(t_new)
-    if np.any(v <= 0.0):
-        raise PositivityLossError(int(np.argmin(v)), t_new)
-    return State(u, v, t_new)
+    try:
+        return State(u, v, t_new)
+    except ValueError:
+        if np.all(np.isfinite(u)) and np.all(np.isfinite(v)):
+            raise PositivityLossError(int(np.argmin(v)), t_new) from None
+        raise DivergenceError(t_new) from None
 
 
-def step_viscous(state: State, setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig) -> State:
-    """One IMEX step of the viscous system (requires setup.epsilon > 0)."""
-    if not setup.epsilon > 0.0:
-        raise ValueError("step_viscous needs epsilon > 0; use step_limit at epsilon = 0")
-    return _checked_step(state, setup, grid, _nominal_dt(state, setup, grid, cfg))
-
-
-def step_limit(state: State, setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig) -> State:
-    """One IMEX step of the limit system (requires setup.epsilon == 0): the
-    u-flux degenerates to -v and u undergoes no diffusion."""
-    if setup.epsilon != 0.0:
-        raise ValueError("step_limit needs epsilon = 0; use step_viscous otherwise")
-    return _checked_step(state, setup, grid, _nominal_dt(state, setup, grid, cfg))
+def step(state: State, setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig) -> State:
+    """One IMEX step at the policy's dt: of the viscous system for
+    setup.epsilon > 0, of the limit system at epsilon = 0 (the u-flux
+    degenerates to -v and u undergoes no diffusion)."""
+    dt = _nominal_dt(state, setup, grid, cfg)
+    return _advance(state, setup, grid, dt, state.t + dt)
 
 
 def _far_field_contact(state: State, v_inf: float) -> bool:
@@ -301,8 +287,8 @@ def integrate(
     cfg: SolverConfig,
     rec: Optional[TrajectoryRecorder] = None,
 ) -> TrajectoryRecorder:
-    """Drive the appropriate stepper to t_final (last step clipped to land
-    exactly there), recording every rec.stride steps plus the final state.
+    """Step to t_final (last step clipped to land exactly there), recording
+    every rec.stride steps plus the final state.
 
     Stepper failures propagate with the failing time attached; running out
     of max_steps raises ProgressError.  t_final = 0 yields a recorder holding
@@ -323,12 +309,9 @@ def integrate(
         dt = _nominal_dt(state, setup, grid, cfg)
         remaining = t_final - state.t
         last = dt >= remaining * (1.0 - 1e-12)
-        if last:
-            dt = remaining
-        state = _checked_step(state, setup, grid, dt)
-        if last:
-            # land exactly on t_final instead of accumulating rounding
-            state = State(state.u, state.v, t_final)
+        # the last step lands exactly on t_final instead of accumulating rounding
+        dt, t_new = (remaining, t_final) if last else (dt, state.t + dt)
+        state = _advance(state, setup, grid, dt, t_new)
         steps += 1
         if last or steps % rec.stride == 0:
             rec.add(state, audit_record(state, grid, setup))

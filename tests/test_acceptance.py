@@ -25,7 +25,7 @@ from chemoflux.stepping import (
     TrajectoryRecorder,
     coupled_imex_step,
     integrate,
-    step_viscous,
+    step,
 )
 from chemoflux.tridiag import TridiagonalSystem, solve_tridiagonal
 
@@ -167,8 +167,8 @@ def test_criterion_04_entropy_residual_refines_at_second_order():
         cfg = SolverConfig(dt=dt)
         rec = integrate(setup, grid, cfg, TrajectoryRecorder(stride=10**9))
         s0 = rec.states[-1]
-        s1 = step_viscous(s0, setup, grid, cfg)
-        s2 = step_viscous(s1, setup, grid, cfg)
+        s1 = step(s0, setup, grid, cfg)
+        s2 = step(s1, setup, grid, cfg)
         l2s.append(entropy_residual(s0, s1, s2, grid, setup).l2)
     factor = l2s[0] / l2s[1]
     elapsed = time.perf_counter() - t0
@@ -187,7 +187,7 @@ def test_criterion_05_positivity_floor(ibvp_run, cauchy_run):
     for bundle in (ibvp_run, cauchy_run):
         reports.append(
             positivity_floor_check(
-                bundle["rec"].records, bundle["setup"].alpha_floor, bundle["grid"].dx
+                bundle["rec"].diagnostics, bundle["setup"].alpha_floor, bundle["grid"].dx
             )
         )
     for mk_setup, grid in (
@@ -196,7 +196,7 @@ def test_criterion_05_positivity_floor(ibvp_run, cauchy_run):
     ):
         setup = mk_setup(0.0125)
         rec = integrate(setup, grid, SolverConfig(cfl=0.4), TrajectoryRecorder(stride=10))
-        reports.append(positivity_floor_check(rec.records, setup.alpha_floor, grid.dx))
+        reports.append(positivity_floor_check(rec.diagnostics, setup.alpha_floor, grid.dx))
     worst = min(r.worst_margin for r in reports)
     print(f"[criterion 05] floor margin over 4 trajectories >= {worst:.3e} (> 0): PASS")
     assert all(r.passed for r in reports)

@@ -91,6 +91,12 @@ def test_parse_comments_blanks_and_inline_comments():
         (MINIMAL + "n_cells = 1e400\n", "n_cells", 4),
         (MINIMAL + "n_cells = inf\n", "n_cells", 4),
         (MINIMAL + "eps_ladder = 0.1,nan,0.01\n", "eps_ladder", 4),
+        (MINIMAL + "eps_ladder = 0.1,0.05\n", "eps_ladder", 4),  # a slope fit needs 3
+        (MINIMAL + "stride = 0\n", "stride", 4),
+        ("kind = cauchy\nepsilon = 0.05\nt_final = 0.5\nwidth = 10\n", "width", 4),
+        (MINIMAL + "profile = gaussian\n", "profile", 4),
+        # the derived floor 1 - 1.5 is blamed on the key that set it
+        (MINIMAL + "amplitude_v = 1.5\n", "amplitude_v", 4),
     ],
 )
 def test_parse_rejects_bad_configs_naming_key_and_line(text, key, line_no):
@@ -121,7 +127,7 @@ def test_parse_missing_required_key():
 
 
 def test_effective_config_roundtrip_and_stability():
-    cfg = parse_config(MINIMAL + "stride = 7\neps_ladder = 0.2,0.1\n" )
+    cfg = parse_config(MINIMAL + "stride = 7\neps_ladder = 0.2,0.1,0.05\n")
     text1 = emit_effective_config(cfg)
     cfg2 = parse_config(text1)
     assert cfg2 == cfg
@@ -290,7 +296,7 @@ def test_exit_2_on_bad_config_and_missing_file(tmp_path, capsys):
     assert "'epsilon'" in capsys.readouterr().err
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert "cannot read config" in capsys.readouterr().err
-    # a floor above the sampled initial minimum surfaces when the run starts
+    # a floor above the sampled initial minimum is rejected at parse time
     high = write(tmp_path, "high.cfg", TINY_RUN + "alpha_floor = 0.9\n")
     assert main(["run", "--config", high, "--out", str(tmp_path / "oh")]) == 2
     assert "alpha_floor" in capsys.readouterr().err
@@ -346,6 +352,11 @@ def test_converge_eps_override_validation(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "'--eps'" in err and "'0.1,abc,0.01'" in err
+    code = main(
+        ["converge", "--config", cfg_path, "--out", str(tmp_path / "o"), "--eps", "0.1,0.05"]
+    )
+    assert code == 2
+    assert "'--eps'" in capsys.readouterr().err
 
 
 # ------------------------------------------------------- remaining subcommands

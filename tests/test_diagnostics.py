@@ -24,7 +24,7 @@ from chemoflux.model import (
     State,
     entropy_pair,
 )
-from chemoflux.stepping import SolverConfig, TrajectoryRecorder, integrate, step_viscous
+from chemoflux.stepping import SolverConfig, TrajectoryRecorder, integrate, step
 
 
 def cosine_setup(epsilon=0.05, t_final=0.5, **kw):
@@ -254,8 +254,8 @@ def test_entropy_residual_refines_at_second_order():
         cfg = SolverConfig(dt=dt)
         rec = integrate(setup, grid, cfg, TrajectoryRecorder(stride=10**9))
         s0 = rec.states[-1]
-        s1 = step_viscous(s0, setup, grid, cfg)
-        s2 = step_viscous(s1, setup, grid, cfg)
+        s1 = step(s0, setup, grid, cfg)
+        s2 = step(s1, setup, grid, cfg)
         field = entropy_residual(s0, s1, s2, grid, setup)
         l2s.append(field.l2)
         dxs.append(grid.dx)
@@ -308,7 +308,7 @@ def test_floor_on_rest_trajectory_margin_is_exactly_the_slack():
         kind=Kind.IBVP, epsilon=0.05, t_final=0.05, initial_data=profile, alpha_floor=1.0
     )
     rec = integrate(setup, grid, SolverConfig(dt=0.01))
-    report = positivity_floor_check(rec.records, alpha=setup.alpha_floor, dx=grid.dx)
+    report = positivity_floor_check(rec.diagnostics, alpha=setup.alpha_floor, dx=grid.dx)
     assert report.passed
     assert report.running_max_ux == 0.0
     assert report.worst_margin == pytest.approx(10.0 * grid.dx**2, rel=1e-12)
@@ -318,7 +318,7 @@ def test_floor_on_cosine_run_worst_margin_at_t0():
     grid = Grid1D(0.0, 1.0, 64)
     setup = cosine_setup(epsilon=0.05, t_final=0.05)
     rec = integrate(setup, grid, SolverConfig(cfl=0.4))
-    report = positivity_floor_check(rec.records, alpha=setup.alpha_floor, dx=grid.dx)
+    report = positivity_floor_check(rec.diagnostics, alpha=setup.alpha_floor, dx=grid.dx)
     assert report.passed
     # alpha equals min v0, so at t = 0 the margin is exactly the slack
     assert report.worst_time == 0.0
@@ -346,7 +346,7 @@ def test_monotonicity_on_short_viscous_run():
     grid = Grid1D(0.0, 1.0, 64)
     setup = cosine_setup(epsilon=0.05, t_final=0.05)
     rec = integrate(setup, grid, SolverConfig(cfl=0.4))
-    ok, worst = entropy_monotonicity_check(rec.records, grid.dx)
+    ok, worst = entropy_monotonicity_check(rec.diagnostics, grid.dx)
     assert ok
     assert worst <= 0.0
     entropies = [d.entropy_total for d in rec.diagnostics]

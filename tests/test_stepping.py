@@ -6,7 +6,6 @@ from chemoflux.diagnostics import trapezoid
 from chemoflux.model import Family, Grid1D, InitialProfile, Kind, ProblemSetup, State, make_initial
 from chemoflux.stepping import (
     DivergenceError,
-    FluxForm,
     PositivityLossError,
     ProgressError,
     SolverConfig,
@@ -14,8 +13,7 @@ from chemoflux.stepping import (
     _diffuse,
     _laplacian_symbol,
     integrate,
-    step_limit,
-    step_viscous,
+    step,
 )
 from chemoflux.tridiag import TridiagonalSystem, solve_tridiagonal
 
@@ -62,12 +60,7 @@ def test_solver_config_dt_cfl_exclusive_and_defaults():
     with pytest.raises(ValueError):
         SolverConfig(cfl=1.5)
     with pytest.raises(ValueError):
-        SolverConfig(space_order=4)
-    with pytest.raises(ValueError):
         SolverConfig(max_steps=0)
-    with pytest.raises(ValueError):
-        SolverConfig(flux_form="upwind")
-    assert SolverConfig().flux_form is FluxForm.CONSERVATIVE_CENTRAL
 
 
 def test_recorder_validation():
@@ -143,25 +136,10 @@ def test_rest_state_is_a_bitwise_fixed_point(kind, epsilon):
     )
     cfg = SolverConfig(dt=0.01)
     state = make_initial(setup, grid)
-    stepper = step_limit if epsilon == 0.0 else step_viscous
     for _ in range(10):
-        state = stepper(state, setup, grid, cfg)
+        state = step(state, setup, grid, cfg)
     assert np.all(state.u == 0.0)
     assert np.all(state.v == 1.0)
-
-
-# -------------------------------------------------------- stepper preconditions
-
-
-def test_steppers_enforce_their_regime():
-    grid = Grid1D(0.0, 1.0, 64)
-    cfg = SolverConfig(dt=1e-4)
-    viscous = cosine_setup(epsilon=0.05)
-    limit = cosine_setup(epsilon=0.0)
-    with pytest.raises(ValueError):
-        step_viscous(make_initial(limit, grid), limit, grid, cfg)
-    with pytest.raises(ValueError):
-        step_limit(make_initial(viscous, grid), viscous, grid, cfg)
 
 
 # ------------------------------------------------- viscous-to-limit consistency
@@ -172,12 +150,12 @@ def test_one_step_viscous_minus_limit_shrinks_linearly_in_epsilon():
     cfg = SolverConfig(dt=1e-4)
     limit_setup = cosine_setup(epsilon=0.0)
     base = make_initial(limit_setup, grid)
-    ref = step_limit(base, limit_setup, grid, cfg)
+    ref = step(base, limit_setup, grid, cfg)
     eps_list = [1e-2, 1e-3, 1e-4]
     diffs = []
     for eps in eps_list:
         setup = cosine_setup(epsilon=eps)
-        out = step_viscous(State(base.u.copy(), base.v.copy(), 0.0), setup, grid, cfg)
+        out = step(State(base.u.copy(), base.v.copy(), 0.0), setup, grid, cfg)
         diffs.append(
             max(float(np.max(np.abs(out.u - ref.u))), float(np.max(np.abs(out.v - ref.v))))
         )
@@ -198,7 +176,7 @@ def test_ibvp_walls_stay_exactly_zero_and_v_mass_is_conserved():
     state = make_initial(setup, grid)
     mass0 = trapezoid(state.v - setup.v_infinity, grid.dx)
     for _ in range(20):
-        state = step_viscous(state, setup, grid, cfg)
+        state = step(state, setup, grid, cfg)
         assert state.u[0] == 0.0 and state.u[-1] == 0.0
         mass = trapezoid(state.v - setup.v_infinity, grid.dx)
         assert abs(mass - mass0) <= 1e-10
@@ -214,7 +192,7 @@ def test_limit_system_u_mass_is_conserved_on_truncated_line():
     mass_u0 = trapezoid(state.u, grid.dx)
     mass_v0 = trapezoid(state.v - 1.0, grid.dx)
     for _ in range(20):
-        state = step_limit(state, setup, grid, cfg)
+        state = step(state, setup, grid, cfg)
     assert abs(trapezoid(state.u, grid.dx) - mass_u0) <= 1e-8
     assert abs(trapezoid(state.v - 1.0, grid.dx) - mass_v0) <= 1e-8
 
@@ -303,7 +281,7 @@ def test_positivity_loss_reports_node_and_time():
     )
     state = make_initial(setup, grid)
     with pytest.raises(PositivityLossError) as info:
-        step_viscous(state, setup, grid, SolverConfig(dt=0.05))
+        step(state, setup, grid, SolverConfig(dt=0.05))
     assert info.value.index == 128
     assert info.value.t == 0.05
     assert "128" in str(info.value)
@@ -327,7 +305,7 @@ def test_divergence_reports_time():
     with np.errstate(all="ignore"):
         state = make_initial(setup, grid)
         with pytest.raises(DivergenceError) as info:
-            step_viscous(state, setup, grid, SolverConfig(dt=1e-6))
+            step(state, setup, grid, SolverConfig(dt=1e-6))
     assert info.value.t == 1e-6
     assert issubclass(DivergenceError, RuntimeError)
 
