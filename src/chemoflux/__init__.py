@@ -12,16 +12,17 @@ viscous solutions toward the limit as eps shrinks, and translates
 chemotaxis (density, chemoattractant) trajectories into these variables
 via the logarithmic-gradient substitution.
 
-Every public name of the submodules below is re-exported here.
+Every public name of the submodules imported below is re-exported here.
+Not re-exported: ``cli``, and ``tridiag``, the Thomas solver kept as the
+reference for the FFT diffusion solve.
 """
 
-from . import convergence, diagnostics, ksbridge, model, stepping, tridiag
+from . import convergence, diagnostics, ksbridge, model, stepping
 from .convergence import *  # noqa: F401,F403
 from .diagnostics import *  # noqa: F401,F403
 from .ksbridge import *  # noqa: F401,F403
 from .model import *  # noqa: F401,F403
 from .stepping import *  # noqa: F401,F403
-from .tridiag import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
@@ -31,5 +32,4 @@ __all__ = (
     + diagnostics.__all__
     + convergence.__all__
     + ksbridge.__all__
-    + tridiag.__all__
 )

@@ -1,10 +1,10 @@
 """Config-driven experiment runner with bit-stable CSV/JSON emission.
 
 Config format: flat ``key = value`` lines, ``#`` comments, no nesting.
-Required keys: kind, epsilon, t_final.  Every applied default is echoed into
-``effective_config.cfg`` in the output directory, and re-running from that
-file reproduces all outputs bit-identically (nothing here is randomized or
-timestamped).
+The keys are the fields of RunConfig; kind, epsilon and t_final are required.
+Every applied default is echoed into ``effective_config.cfg`` in the output
+directory, and re-running from that file reproduces all outputs
+bit-identically (nothing here is randomized or timestamped).
 
 Exit codes: 0 success, 2 validation failure, 3 run failure, 4 threshold
 failure (``converge`` only).
@@ -69,75 +69,59 @@ class ConfigError(ValueError):
         super().__init__(f"config error at '{key}'{loc}: {message}")
 
 
-@dataclass
+def _key(parse, default=dataclasses.MISSING):
+    """A config key: how its value parses ("float", "int", "floatlist", "str",
+    or a text -> value dict of choices) and its applied default (none: required)."""
+    return dataclasses.field(default=default, metadata={"parse": parse})
+
+
+@dataclass(kw_only=True)
 class RunConfig:
-    """Fully resolved experiment description (all defaults applied)."""
+    """Fully resolved experiment description (all defaults applied).
 
-    experiment: str
-    kind: Kind
-    epsilon: float
-    v_infinity: float
-    alpha_floor: float
-    t_final: float
-    profile: Family
-    amplitude_u: float
-    amplitude_v: float
-    width: float
-    x_left: float
-    x_right: float
-    n_cells: int
-    dt: Optional[float]
-    cfl: Optional[float]
-    max_steps: int
-    stride: int
-    eps_ladder: tuple
-    refine_levels: int
-    ks_csv: Optional[str]
-    ks_d: float
-    ks_chi: float
-    ks_alpha: float
-    ks_epsilon: float
-    c_anchor: float
-    out_dir: Optional[str]
+    The fields are the config keys, in the order effective_config.cfg echoes
+    them; None means unset and is not echoed.  parse_config resolves
+    alpha_floor and cfl through their domain objects, and profile, x_left and
+    x_right by kind (_KIND_DEFAULTS).
+    """
+
+    experiment: str = _key({e: e for e in EXPERIMENTS}, "run")
+    kind: Kind = _key({k.value: k for k in Kind})
+    epsilon: float = _key("float")
+    v_infinity: float = _key("float", 1.0)
+    alpha_floor: Optional[float] = _key("float", None)
+    t_final: float = _key("float")
+    profile: Optional[Family] = _key(
+        {f.value: f for f in (Family.GAUSSIAN_BUMP, Family.COSINE_PAIR)}, None
+    )
+    amplitude_u: float = _key("float", 0.3)
+    amplitude_v: float = _key("float", 0.3)
+    width: float = _key("float", 1.0)
+    x_left: Optional[float] = _key("float", None)
+    x_right: Optional[float] = _key("float", None)
+    n_cells: int = _key("int", 1024)
+    dt: Optional[float] = _key("float", None)
+    cfl: Optional[float] = _key("float", None)
+    max_steps: int = _key("int", 2_000_000)
+    stride: int = _key("int", 1)
+    eps_ladder: tuple = _key("floatlist", (0.1, 0.05, 0.025, 0.0125))
+    refine_levels: int = _key("int", 3)
+    ks_d: float = _key("float", 1.0)
+    ks_chi: float = _key("float", 1.0)
+    ks_alpha: float = _key("float", 1.0)
+    ks_epsilon: float = _key("float", 0.0)
+    ks_csv: Optional[str] = _key("str", None)
+    out_dir: Optional[str] = _key("str", None)
 
 
-# key -> value type; parsing rejects anything not listed here
-_KEY_TYPES = {
-    "experiment": "choice:experiment",
-    "kind": "choice:kind",
-    "epsilon": "float",
-    "v_infinity": "float",
-    "alpha_floor": "float",
-    "t_final": "float",
-    "profile": "choice:profile",
-    "amplitude_u": "float",
-    "amplitude_v": "float",
-    "width": "float",
-    "x_left": "float",
-    "x_right": "float",
-    "n_cells": "int",
-    "dt": "float",
-    "cfl": "float",
-    "max_steps": "int",
-    "stride": "int",
-    "eps_ladder": "floatlist",
-    "refine_levels": "int",
-    "ks_csv": "str",
-    "ks_d": "float",
-    "ks_chi": "float",
-    "ks_alpha": "float",
-    "ks_epsilon": "float",
-    "c_anchor": "float",
-    "out_dir": "str",
+# key -> parse type; parsing rejects anything not listed here
+_KEY_TYPES = {f.name: f.metadata["parse"] for f in dataclasses.fields(RunConfig)}
+
+# the defaults that depend on the domain
+_KIND_DEFAULTS = {
+    Kind.IBVP: {"profile": Family.COSINE_PAIR, "x_left": 0.0, "x_right": 1.0},
+    Kind.CAUCHY_TRUNCATED: {"profile": Family.GAUSSIAN_BUMP, "x_left": -20.0, "x_right": 20.0},
 }
-
-_CHOICES = {
-    "experiment": EXPERIMENTS,
-    "kind": ("cauchy", "ibvp"),
-    "profile": ("gaussian", "cosine"),
-}
-
-_REQUIRED = ("kind", "epsilon", "t_final")
 
 # field of a domain object -> the config key that sets it, where the names
 # differ; KSParams fields are set by the ks_* keys
@@ -151,31 +135,27 @@ def _finite(x: float) -> float:
     return x
 
 
-def _convert(key: str, value: str, line: int, t: Optional[str] = None):
-    """Convert one raw value to the type of `key` (or to type `t`), raising a
+def _convert(key: str, value: str, line: int, parse):
+    """Convert one raw value by its parse type (see _key), raising a
     ConfigError that names key and line.  Floats must be finite."""
-    t = t or _KEY_TYPES[key]
     try:
-        if t == "float":
+        if isinstance(parse, dict):
+            return parse[value]
+        if parse == "float":
             return _finite(float(value))
-        if t == "int":
+        if parse == "int":
             f = float(value)
             if int(f) != f:
                 raise ValueError(value)
             return int(f)
-        if t == "floatlist":
+        if parse == "floatlist":
             return tuple(_finite(float(p)) for p in value.split(","))
-        if t == "str":
-            return value
-        choices = _CHOICES[t.split(":", 1)[1]]
-        if value not in choices:
-            raise ValueError(value)
         return value
-    except (ValueError, TypeError, OverflowError):
-        if ":" in t:
-            kind = f"one of {_CHOICES[t.split(':', 1)[1]]}"
+    except (KeyError, ValueError, TypeError, OverflowError):
+        if isinstance(parse, dict):
+            kind = f"one of {tuple(parse)}"
         else:
-            kind = {"float": "finite float", "floatlist": "list of finite floats"}.get(t, t)
+            kind = {"float": "finite float", "floatlist": "list of finite floats"}.get(parse, parse)
         raise ConfigError(key, line, f"cannot parse {value!r} as {kind}") from None
 
 
@@ -218,54 +198,15 @@ def parse_config(text) -> RunConfig:
             raise ConfigError(key, line_no, "empty value")
         raw[key] = (value, line_no)
 
-    for key in _REQUIRED:
-        if key not in raw:
-            raise ConfigError(key, 0, "required key is missing")
+    for f in dataclasses.fields(RunConfig):
+        if f.default is dataclasses.MISSING and f.name not in raw:
+            raise ConfigError(f.name, 0, "required key is missing")
 
-    vals = {k: _convert(k, v, ln) for k, (v, ln) in raw.items()}
+    vals = {k: _convert(k, v, ln, _KEY_TYPES[k]) for k, (v, ln) in raw.items()}
     lines = {k: ln for k, (_, ln) in raw.items()}
-
-    kind = Kind.CAUCHY_TRUNCATED if vals["kind"] == "cauchy" else Kind.IBVP
-    ibvp = kind is Kind.IBVP
-
-    cfg = RunConfig(
-        experiment=vals.get("experiment", "run"),
-        kind=kind,
-        epsilon=vals["epsilon"],
-        v_infinity=vals.get("v_infinity", 1.0),
-        alpha_floor=vals.get("alpha_floor"),
-        t_final=vals["t_final"],
-        profile={
-            "gaussian": Family.GAUSSIAN_BUMP,
-            "cosine": Family.COSINE_PAIR,
-        }[vals.get("profile", "cosine" if ibvp else "gaussian")],
-        amplitude_u=vals.get("amplitude_u", 0.3),
-        amplitude_v=vals.get("amplitude_v", 0.3),
-        width=vals.get("width", 1.0),
-        x_left=vals.get("x_left", 0.0 if ibvp else -20.0),
-        x_right=vals.get("x_right", 1.0 if ibvp else 20.0),
-        n_cells=vals.get("n_cells", 1024),
-        dt=vals.get("dt"),
-        cfl=vals.get("cfl"),
-        max_steps=vals.get("max_steps", 2_000_000),
-        stride=vals.get("stride", 1),
-        eps_ladder=vals.get("eps_ladder", (0.1, 0.05, 0.025, 0.0125)),
-        refine_levels=vals.get("refine_levels", 3),
-        ks_csv=vals.get("ks_csv"),
-        ks_d=vals.get("ks_d", 1.0),
-        ks_chi=vals.get("ks_chi", 1.0),
-        ks_alpha=vals.get("ks_alpha", 1.0),
-        ks_epsilon=vals.get("ks_epsilon", 0.0),
-        c_anchor=vals.get("c_anchor", 1.0),
-        out_dir=vals.get("out_dir"),
-    )
-
+    cfg = RunConfig(**{**_KIND_DEFAULTS[vals["kind"]], **vals})
     if cfg.refine_levels < 1:
         raise ConfigError("refine_levels", lines.get("refine_levels", 0), "must be >= 1")
-    if not cfg.c_anchor > 0:
-        raise ConfigError(
-            "c_anchor", lines.get("c_anchor", 0), f"must be positive, got {cfg.c_anchor}"
-        )
 
     # build every domain object once, so each invariant is enforced by its
     # own constructor before any run starts
@@ -286,21 +227,12 @@ def build_grid(cfg: RunConfig) -> Grid1D:
     return Grid1D(cfg.x_left, cfg.x_right, cfg.n_cells)
 
 
-def build_profile(cfg: RunConfig) -> InitialProfile:
-    return InitialProfile(
-        family=cfg.profile,
-        amplitude_u=cfg.amplitude_u,
-        amplitude_v=cfg.amplitude_v,
-        width=cfg.width,
-    )
-
-
 def build_setup(cfg: RunConfig) -> ProblemSetup:
     return ProblemSetup(
         kind=cfg.kind,
         epsilon=cfg.epsilon,
         t_final=cfg.t_final,
-        initial_data=build_profile(cfg),
+        initial_data=InitialProfile(cfg.profile, cfg.amplitude_u, cfg.amplitude_v, cfg.width),
         v_infinity=cfg.v_infinity,
         alpha_floor=cfg.alpha_floor,
     )
@@ -316,41 +248,17 @@ def _fmt(x: float) -> str:
 
 def emit_effective_config(cfg: RunConfig) -> str:
     """Render the fully resolved config; parsing it back yields an equal RunConfig."""
-    pairs = [
-        ("experiment", cfg.experiment),
-        ("kind", cfg.kind.value),
-        ("epsilon", _fmt(cfg.epsilon)),
-        ("v_infinity", _fmt(cfg.v_infinity)),
-        ("alpha_floor", _fmt(cfg.alpha_floor)),
-        ("t_final", _fmt(cfg.t_final)),
-        ("profile", cfg.profile.value),
-        ("amplitude_u", _fmt(cfg.amplitude_u)),
-        ("amplitude_v", _fmt(cfg.amplitude_v)),
-        ("width", _fmt(cfg.width)),
-        ("x_left", _fmt(cfg.x_left)),
-        ("x_right", _fmt(cfg.x_right)),
-        ("n_cells", str(cfg.n_cells)),
-    ]
-    if cfg.dt is not None:
-        pairs.append(("dt", _fmt(cfg.dt)))
-    else:
-        pairs.append(("cfl", _fmt(cfg.cfl)))
-    pairs += [
-        ("max_steps", str(cfg.max_steps)),
-        ("stride", str(cfg.stride)),
-        ("eps_ladder", ",".join(_fmt(e) for e in cfg.eps_ladder)),
-        ("refine_levels", str(cfg.refine_levels)),
-        ("ks_d", _fmt(cfg.ks_d)),
-        ("ks_chi", _fmt(cfg.ks_chi)),
-        ("ks_alpha", _fmt(cfg.ks_alpha)),
-        ("ks_epsilon", _fmt(cfg.ks_epsilon)),
-        ("c_anchor", _fmt(cfg.c_anchor)),
-    ]
-    if cfg.ks_csv is not None:
-        pairs.append(("ks_csv", cfg.ks_csv))
-    if cfg.out_dir is not None:
-        pairs.append(("out_dir", cfg.out_dir))
-    return "".join(f"{k} = {v}\n" for k, v in pairs)
+    lines = []
+    for f in dataclasses.fields(cfg):
+        value, parse = getattr(cfg, f.name), f.metadata["parse"]
+        if value is None:
+            continue
+        if parse == "float":
+            value = _fmt(value)
+        elif parse == "floatlist":
+            value = ",".join(_fmt(e) for e in value)
+        lines.append(f"{f.name} = {getattr(value, 'value', value)}\n")
+    return "".join(lines)
 
 
 def _open_out(path: str):

@@ -90,8 +90,8 @@ class KSState:
         if np.any(self.c <= 0.0):
             i = int(np.argmin(self.c))
             raise ValueError(f"c must be strictly positive; c[{i}] = {self.c[i]}")
-        if isinstance(self.params, tuple):
-            self.params = KSParams(*self.params)
+        if not isinstance(self.params, KSParams):
+            raise TypeError(f"params must be a KSParams, got {type(self.params).__name__}")
 
 
 @dataclass
@@ -163,11 +163,10 @@ def inverse_hopf_cole(state: GradientState, grid: Grid1D, c_anchor: float) -> np
     return c
 
 
-def rescale_to_normalized(ks_params) -> RescaleFactors:
+def rescale_to_normalized(p: KSParams) -> RescaleFactors:
     """Coefficients and factors of the normalizing change of variables
     t -> alpha_rate*t, x -> sqrt(alpha_rate/chi)*x: the transformed system
     keeps only D/chi and eps/chi.  chi = 1 leaves epsilon unchanged."""
-    p = ks_params if isinstance(ks_params, KSParams) else KSParams(*ks_params)
     k = math.sqrt(p.alpha_rate / p.chi)
     return RescaleFactors(
         D_t=p.D / p.chi,

@@ -302,14 +302,20 @@ def make_initial(setup: ProblemSetup, grid: Grid1D) -> State:
                 f"wall compatibility violated: u0 ends are ({u0[0]:.3e}, {u0[-1]:.3e})",
             )
         u0[0] = u0[-1] = 0.0
+        dx = grid.dx
         scale = max(1.0, float(np.max(np.abs(v0 - setup.v_infinity))))
-        tol_v = 10.0 * grid.dx**2 * scale
-        dvl = _one_sided_ddx(v0, grid.dx, left=True)
-        dvr = _one_sided_ddx(v0, grid.dx, left=False)
-        if max(abs(dvl), abs(dvr)) > tol_v:
+        dv = (_one_sided_ddx(v0, dx, left=True), _one_sided_ddx(v0, dx, left=False))
+        # allow for the stencil's own truncation error -dx^2/3 v''' + O(dx^3),
+        # with v''' taken as the one-sided third difference at each wall
+        d3 = (
+            v0[3] - 3.0 * v0[2] + 3.0 * v0[1] - v0[0],
+            v0[-1] - 3.0 * v0[-2] + 3.0 * v0[-3] - v0[-4],
+        )
+        tol = tuple(10.0 * dx**2 * scale + abs(d) / (3.0 * dx) for d in d3)
+        if abs(dv[0]) > tol[0] or abs(dv[1]) > tol[1]:
             raise FieldError(
                 shape + ("amplitude_v",),
                 f"wall compatibility violated: one-sided v0 derivatives are "
-                f"({dvl:.3e}, {dvr:.3e}), tolerance {tol_v:.3e}",
+                f"({dv[0]:.3e}, {dv[1]:.3e}), tolerances ({tol[0]:.3e}, {tol[1]:.3e})",
             )
     return State(u0, v0, 0.0)

@@ -1,7 +1,9 @@
 """Config parsing, deterministic emission, subcommands, and exit codes."""
+import dataclasses
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -85,7 +87,7 @@ def test_parse_comments_blanks_and_inline_comments():
         (MINIMAL + "eps_ladder = 0.1,0.2,0.3\n", "eps_ladder", 4),
         (MINIMAL + "refine_levels = 0\n", "refine_levels", 4),
         (MINIMAL + "ks_epsilon = -1\n", "ks_epsilon", 4),
-        (MINIMAL + "c_anchor = 0\n", "c_anchor", 4),
+        (MINIMAL + "c_anchor = 1\n", "c_anchor", 4),  # removed key: now unknown
         (MINIMAL + "alpha_floor = -0.9\n", "alpha_floor", 4),
         ("kind = ibvp\nepsilon = 0.05\nt_final = inf\n", "t_final", 3),
         (MINIMAL + "n_cells = 1e400\n", "n_cells", 4),
@@ -126,12 +128,45 @@ def test_parse_missing_required_key():
     assert "missing" in str(info.value)
 
 
-def test_effective_config_roundtrip_and_stability():
-    cfg = parse_config(MINIMAL + "stride = 7\neps_ladder = 0.2,0.1,0.05\n")
+# sets every key but cfl, which excludes dt: each parse type and each
+# optional field round-trips
+EVERY_KEY = (
+    "experiment = converge\nkind = cauchy\nepsilon = 0.03\nv_infinity = 1.5\n"
+    "alpha_floor = 1.1\nt_final = 0.25\nprofile = gaussian\namplitude_u = 0.2\n"
+    "amplitude_v = 0.25\nwidth = 0.8\nx_left = -12.5\nx_right = 12.5\nn_cells = 96\n"
+    "dt = 0.001\nmax_steps = 5000\nstride = 3\neps_ladder = 0.2,0.1,0.05\n"
+    "refine_levels = 2\nks_d = 1.5\nks_chi = 0.5\nks_alpha = 2\nks_epsilon = 0.01\n"
+    "ks_csv = traj.csv\nout_dir = results\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [MINIMAL + "stride = 7\neps_ladder = 0.2,0.1,0.05\n", EVERY_KEY],
+    ids=["minimal", "every-key"],
+)
+def test_effective_config_roundtrip_and_stability(text):
+    cfg = parse_config(text)
     text1 = emit_effective_config(cfg)
     cfg2 = parse_config(text1)
     assert cfg2 == cfg
     assert emit_effective_config(cfg2) == text1
+
+
+def test_effective_config_echoes_keys_in_field_order():
+    echoed = emit_effective_config(parse_config(EVERY_KEY))
+    assert [ln.split(" = ")[0] for ln in echoed.splitlines()] == [
+        f.name for f in dataclasses.fields(cli.RunConfig) if f.name != "cfl"
+    ]
+
+
+def test_readme_config_table_names_exactly_the_config_fields():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    table = readme.split("### Config keys", 1)[1].split("\n\n", 2)[1]
+    named = set()
+    for row in table.splitlines()[2:]:
+        named.update(re.findall(r"`(\w+)`", row.split("|")[1]))
+    assert named == {f.name for f in dataclasses.fields(cli.RunConfig)}
 
 
 def test_effective_config_emits_only_the_active_step_policy():

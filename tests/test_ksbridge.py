@@ -151,10 +151,6 @@ def test_rescale_chi_one_leaves_epsilon_alone():
         assert f.D_t == 3.7
 
 
-def test_rescale_accepts_bare_tuples():
-    assert rescale_to_normalized((2.0, 2.0, 4.0, 1.0)).time_factor == 4.0
-
-
 def test_ks_params_validation():
     with pytest.raises(ValueError, match="D"):
         KSParams(0.0, 1.0, 1.0)
@@ -173,8 +169,8 @@ def test_ks_state_validation():
         KSState(np.ones(4), np.zeros(3), 0.0, PARAMS)
     with pytest.raises(ValueError, match="finite"):
         KSState(np.array([1.0, np.inf]), np.zeros(2), 0.0, PARAMS)
-    coerced = KSState(np.ones(3), np.zeros(3), 0.0, (1.0, 2.0, 3.0, 0.5))
-    assert coerced.params == KSParams(1.0, 2.0, 3.0, 0.5)
+    with pytest.raises(TypeError, match="KSParams"):
+        KSState(np.ones(3), np.zeros(3), 0.0, (1.0, 2.0, 3.0, 0.5))
 
 
 # ------------------------------------------------------------------- residual

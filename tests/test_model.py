@@ -255,3 +255,37 @@ def test_custom_positive_v_enforced():
 
 def test_boundary_tolerance_is_tight():
     assert BOUNDARY_TOL == 1e-12
+
+
+def _wall_setup(v0):
+    profile = InitialProfile(
+        family=Family.CUSTOM, custom_u=lambda x: 0.3 * np.sin(np.pi * x), custom_v=v0
+    )
+    return ProblemSetup(
+        kind=Kind.IBVP, epsilon=0.05, t_final=0.5, initial_data=profile, alpha_floor=0.5
+    )
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("k", [1, 3, 5, 7, 9])
+def test_exactly_compatible_wall_data_accepted(k, n):
+    # v0' = 0 at both walls; the one-sided stencil's own truncation error
+    # (-dx^2/3 v0''' + O(dx^3)) must not be mistaken for incompatibility
+    setup = _wall_setup(lambda x: 1.0 + 0.3 * np.cos(k * np.pi * x))
+    state = make_initial(setup, Grid1D(0.0, 1.0, n))
+    assert state.u[0] == 0.0 and state.u[-1] == 0.0
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize(
+    "v0",
+    [
+        lambda x: 1.0 + 0.3 * x**2,
+        lambda x: 1.0 + 0.3 * np.cos(np.pi * x) + 1e-3 * x,
+        lambda x: 1.0 + 0.3 * np.cos(5 * np.pi * x) + 1e-2 * x,
+    ],
+    ids=["x2", "cos1+1e-3x", "cos5+1e-2x"],
+)
+def test_incompatible_wall_slope_rejected(v0, n):
+    with pytest.raises(ValueError, match="wall compatibility"):
+        make_initial(_wall_setup(v0), Grid1D(0.0, 1.0, n))
