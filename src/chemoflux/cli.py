@@ -39,7 +39,7 @@ from .ksbridge import (
     residual_vs_conservation_form,
 )
 from .model import FieldError, Family, Grid1D, InitialProfile, Kind, ProblemSetup, make_initial
-from .stepping import SolverConfig, TrajectoryRecorder, integrate, step
+from .stepping import SolverConfig, TrajectoryRecorder, _nominal_dt, integrate, step
 
 __all__ = [
     "ConfigError",
@@ -287,10 +287,8 @@ def emit_diagnostics_csv(records, path: str):
 def _json_default(obj):
     if isinstance(obj, enum.Enum):
         return obj.value
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, np.floating, np.integer)):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
@@ -302,11 +300,19 @@ def emit_report_json(report, path: str):
         f.write("\n")
 
 
+def _parses(line: str) -> bool:
+    """Whether one data line reads as exactly 4 numbers."""
+    try:
+        return np.loadtxt([line], delimiter=",", comments=None).shape == (4,)
+    except ValueError:
+        return False
+
+
 def read_ks_trajectory_csv(path: str, params: KSParams):
     """Read a t,x,c,u trajectory CSV into KSStates plus the grid they live on.
 
-    Rows must be grouped by ascending t with identical ascending, uniformly
-    spaced x in every block.
+    Blank lines are skipped.  Rows must be grouped by ascending t with
+    identical ascending, uniformly spaced x in every block.
     """
     try:
         with open(path, newline="") as f:
@@ -315,38 +321,37 @@ def read_ks_trajectory_csv(path: str, params: KSParams):
         raise RuntimeError(f"cannot read {path}: {exc}") from exc
     if not lines or lines[0] != "t,x,c,u":
         raise ValueError(f"{path}: expected header 't,x,c,u', got {lines[0] if lines else 'nothing'}")
-    blocks: list = []
-    for ln_no, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"{path}:{ln_no}: expected 4 columns, got {len(parts)}")
-        try:
-            t, x, c, u = (float(p) for p in parts)
-        except ValueError:
-            raise ValueError(f"{path}:{ln_no}: cannot parse row {ln!r}") from None
-        if not blocks or blocks[-1][0] != t:
-            blocks.append((t, [], [], []))
-        blocks[-1][1].append(x)
-        blocks[-1][2].append(c)
-        blocks[-1][3].append(u)
-
-    if not blocks:
+    if len(lines) == 1:
         raise ValueError(f"{path}: no data rows after the header")
-    x0 = np.array(blocks[0][1])
+    try:
+        data = np.loadtxt(lines[1:], delimiter=",", ndmin=2, comments=None)
+        if data.shape[1] != 4:
+            raise ValueError(data.shape)
+    except ValueError:  # only a malformed file gets here: quote its first bad line
+        bad = next(ln for ln in lines[1:] if not _parses(ln))
+        raise ValueError(f"{path}: cannot parse data line {bad!r} as 4 columns of numbers") from None
+    t = data[:, 0]
+    starts = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
+    sizes = np.diff(np.append(starts, t.size))
+    x0 = data[: sizes[0], 1]
     if x0.size < 9:
         raise ValueError(f"{path}: need at least 9 nodes per time level, got {x0.size}")
-    spacing = np.diff(x0)
-    if np.any(spacing <= 0) or np.max(np.abs(spacing - spacing[0])) > 1e-9 * abs(spacing[0]):
+    spacing = np.diff(x0)  # the checks below are written so that a nan fails them
+    if not (np.all(spacing > 0) and np.max(np.abs(spacing - spacing[0])) <= 1e-9 * spacing[0]):
         raise ValueError(f"{path}: x must be ascending and uniformly spaced")
-    grid = Grid1D(float(x0[0]), float(x0[-1]), x0.size - 1)
-    states = []
-    for t, xs, cs, us in blocks:
-        if len(xs) != x0.size or np.max(np.abs(np.array(xs) - x0)) > 1e-12 * max(1.0, np.max(np.abs(x0))):
-            raise ValueError(f"{path}: time level t={t} has a different x grid")
-        states.append(KSState(np.array(cs), np.array(us), t, params))
-    if any(not b.t > a.t for a, b in zip(states, states[1:])):
+    off_grid = sizes != x0.size
+    if not np.any(off_grid):
+        levels = data.reshape(starts.size, x0.size, 4)
+        off_grid = ~(np.max(np.abs(levels[:, :, 1] - x0), axis=1) <= 1e-12 * max(1.0, np.max(np.abs(x0))))
+    if np.any(off_grid):
+        raise ValueError(f"{path}: time level t={t[starts[np.argmax(off_grid)]]} has a different x grid")
+    if not np.all(np.diff(levels[:, 0, 0]) > 0):
         raise ValueError(f"{path}: time levels must strictly increase")
-    return states, grid
+    try:
+        states = [KSState(lv[:, 2], lv[:, 3], float(lv[0, 0]), params) for lv in levels]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return states, Grid1D(float(x0[0]), float(x0[-1]), x0.size - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +423,6 @@ def _cmd_entropy_check(cfg: RunConfig, out: str, quiet: bool) -> int:
     rec = integrate(setup, grid, solver, TrajectoryRecorder(stride=cfg.stride))
     final = rec.records[-1][0]
     # two extra fixed-dt steps give an exactly spaced triple for the residual
-    from .stepping import _nominal_dt  # single consumer; keep module surface small
-
     dt = _nominal_dt(final, setup, grid, solver)
     cfg_fixed = SolverConfig(dt=dt, max_steps=solver.max_steps)
     s1 = step(final, setup, grid, cfg_fixed)
@@ -476,28 +479,22 @@ def _cmd_self_converge(cfg: RunConfig, out: str, quiet: bool) -> int:
 
 
 def _cmd_transform(cfg: RunConfig, out: str, quiet: bool) -> int:
-    if cfg.ks_csv is None:
-        raise ConfigError("ks_csv", 0, "transform needs a trajectory CSV path")
     params = KSParams(cfg.ks_d, cfg.ks_chi, cfg.ks_alpha, cfg.ks_epsilon)
     traj, grid = read_ks_trajectory_csv(cfg.ks_csv, params)
-    if len(traj) < 3:
-        raise ValueError(f"{cfg.ks_csv}: need at least 3 time levels, got {len(traj)}")
-    res = residual_vs_conservation_form(traj, grid)
+    try:
+        res = residual_vs_conservation_form(traj, grid)
+    except ValueError as exc:
+        raise ValueError(f"{cfg.ks_csv}: {exc}") from None
     roundtrip = 0.0
     for ks in traj:
-        state = hopf_cole(ks, grid)
-        c_back = inverse_hopf_cole(state, grid, float(ks.c[0]))
+        c_back = inverse_hopf_cole(hopf_cole(ks, grid), grid, float(ks.c[0]))
         roundtrip = max(roundtrip, float(np.max(np.abs(c_back - ks.c) / ks.c)))
-    factors = rescale_to_normalized(params)
     emit_state_csv(hopf_cole(traj[-1], grid), grid, os.path.join(out, "transformed_final.csv"))
     emit_report_json(
         {
-            "l2_density": res.l2_density,
-            "linf_density": res.linf_density,
-            "l2_gradient": res.l2_gradient,
-            "linf_gradient": res.linf_gradient,
+            **{k: getattr(res, k) for k in ("l2_density", "linf_density", "l2_gradient", "linf_gradient")},
             "roundtrip_max_rel_error": roundtrip,
-            "rescale": dataclasses.asdict(factors),
+            "rescale": dataclasses.asdict(rescale_to_normalized(params)),
             "n_time_levels": len(traj),
         },
         os.path.join(out, "transform_report.json"),
@@ -541,6 +538,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         cfg = parse_config(text)
+        if args.command == "transform" and cfg.ks_csv is None:
+            raise ConfigError("ks_csv", 0, "transform needs a trajectory CSV path")
         eps_override = None
         if getattr(args, "eps", None):
             ladder = _convert("--eps", args.eps, 0, "floatlist")
@@ -570,9 +569,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "self-converge":
             return _cmd_self_converge(cfg, out, args.quiet)
         return _cmd_transform(cfg, out, args.quiet)
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 2

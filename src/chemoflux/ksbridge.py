@@ -116,11 +116,6 @@ class RescaleFactors:
     v_factor: float
 
 
-def _midpoint_gradients(c: np.ndarray, dx: float) -> np.ndarray:
-    logc = np.log(c)
-    return -(logc[1:] - logc[:-1]) / dx
-
-
 def hopf_cole(ks: KSState, grid: Grid1D) -> GradientState:
     """Transform (c, u) to conservation-law variables: v is the gradient
     -(log c)_x at the nodes, u carries the density through."""
@@ -129,7 +124,8 @@ def hopf_cole(ks: KSState, grid: Grid1D) -> GradientState:
         raise ValueError(f"c has {c.shape[0]} nodes, grid has {grid.n_nodes}")
     if np.any(c <= 0.0):
         raise ValueError(f"c must be strictly positive, got min {np.min(c)}")
-    m = _midpoint_gradients(c, grid.dx)
+    logc = np.log(c)
+    m = -(logc[1:] - logc[:-1]) / grid.dx
     v = np.empty_like(c)
     v[1:-1] = 0.5 * (m[:-1] + m[1:])
     # second-order one-sided closure; see the module docstring
@@ -146,18 +142,17 @@ def inverse_hopf_cole(state: GradientState, grid: Grid1D, c_anchor: float) -> np
     v = np.asarray(state.v, dtype=float)
     if v.shape[0] != grid.n_nodes:
         raise ValueError(f"state has {v.shape[0]} nodes, grid has {grid.n_nodes}")
-    n_mid = grid.n_cells
-    m = np.empty(n_mid)
     # 2 v_0 = 3 m_0 - m_1 and 2 v_1 = m_0 + m_1 sum to 4 m_0, so the first
-    # midpoint is recovered exactly; the rest follow from the interior average
-    m[0] = 0.5 * (v[0] + v[1])
-    for i in range(1, n_mid):
-        m[i] = 2.0 * v[i] - m[i - 1]
-    c = np.empty(grid.n_nodes)
-    c[0] = c_anchor
-    step = np.exp(-m * grid.dx)
-    for i in range(n_mid):
-        c[i + 1] = c[i] * step[i]
+    # midpoint is recovered exactly; the rest follow from m_i = 2 v_i - m_{i-1},
+    # a running sum of alternately signed terms that np.cumsum adds in sequence,
+    # rounding each step as the recurrence does (x + (-y) = x - y)
+    w = 2.0 * v[:-1]
+    w[0] = 0.5 * (v[0] + v[1])
+    w[1::2] *= -1.0
+    m = np.cumsum(w)
+    m[1::2] *= -1.0
+    # c_{i+1} = c_i * exp(-m_i dx), multiplied in sequence
+    c = np.multiply.accumulate(np.concatenate(([c_anchor], np.exp(-m * grid.dx))))
     if not np.all(np.isfinite(c)):
         raise ValueError("reconstructed c overflowed; gradient data too large")
     return c
@@ -208,11 +203,11 @@ def residual_vs_conservation_form(
     """
     traj = list(ks_trajectory)
     if len(traj) < 3:
-        raise ValueError("need at least 3 states for a centered time difference")
+        raise ValueError(f"need at least 3 states (3 time levels) for centered differences, got {len(traj)}")
     times = [s.t for s in traj]
     gaps = np.diff(times)
-    if np.any(gaps <= 0):
-        raise ValueError(f"state times must increase, got {times}")
+    if not np.all((gaps > 0) & (gaps < np.inf)):
+        raise ValueError(f"state times must be finite and increase, got {times}")
     if np.max(np.abs(gaps - gaps[0])) > 1e-12 * max(gaps[0], 1.0):
         raise ValueError(f"states are not equally spaced in time: gaps {gaps}")
     params = traj[0].params

@@ -1,4 +1,4 @@
-"""Problem definitions: grids, states, fluxes, the entropy pair, initial data.
+"""Problem definitions: grids, states, the entropy pair, initial data.
 
 The two systems this package integrates are the viscous pair
 
@@ -13,7 +13,7 @@ or on the unit interval with walls u = 0 and v_x = 0.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,7 +29,6 @@ __all__ = [
     "ProblemSetup",
     "EntropyValue",
     "entropy_pair",
-    "flux",
     "make_initial",
 ]
 
@@ -215,14 +214,6 @@ def entropy_pair(u, v, v_inf: float, epsilon: float) -> EntropyValue:
     if np.ndim(u) == 0 and np.ndim(v) == 0:
         return EntropyValue(float(eta), float(q))
     return EntropyValue(eta, q)
-
-
-def flux(u, v, epsilon: float):
-    """Hyperbolic flux pair (f_u, f_v) = (eps*u^2 - v, -u*v).
-
-    At eps = 0 the u-flux is exactly -v.  Works elementwise on arrays.
-    """
-    return epsilon * u * u - v, -u * v
 
 
 def _one_sided_ddx(f: np.ndarray, dx: float, left: bool) -> float:

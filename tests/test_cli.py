@@ -215,6 +215,20 @@ def test_read_trajectory_csv_happy_path(tmp_path):
     assert [s.t for s in states] == [0.0, 0.1, 0.2]
     assert states[0].params.epsilon == 0.5
     assert states[1].c[0] == 1.0
+    # blank and whitespace-only lines are skipped wherever they sit
+    lines = trajectory_csv_text().splitlines()
+    for k in (30, 17, 1, 0):  # inside level 1, inside level 0, after the header, before it
+        lines.insert(k, " \t " if k % 2 else "")
+    spaced = write(tmp_path, "spaced.csv", "\n".join(lines) + "\n\n  \n")
+    again, grid_again = read_ks_trajectory_csv(spaced, KSParams(1.0, 1.0, 1.0, 0.5))
+    assert grid_again == grid
+    assert [s.t for s in again] == [s.t for s in states]
+    for a, b in zip(again, states):
+        assert np.array_equal(a.c, b.c) and np.array_equal(a.u, b.u)
+
+
+def drop_line(text, k):
+    return "\n".join(ln for i, ln in enumerate(text.splitlines()) if i != k) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -222,16 +236,24 @@ def test_read_trajectory_csv_happy_path(tmp_path):
     [
         (lambda t: t.replace("t,x,c,u", "time,x,c,u"), "header"),
         (lambda t: t + "0.3,0.0,1.0\n", "4 columns"),
-        (lambda t: t + "0.3,zero,1.0,0\n", "cannot parse"),
+        (lambda t: t + "0.3,zero,1.0,0\n", "cannot parse data line '0.3,zero,1.0,0'"),
+        (lambda t: t.replace(",1,0.36787944117144233,0\n", ",1,0.36787944117144233,1_0\n"), "cannot parse"),
+        (lambda t: t.replace(",0\n", ",0,\n"), "4 columns"),
         (lambda t: trajectory_csv_text(n_cells=4), "at least 9 nodes"),
         (lambda t: trajectory_csv_text(uniform=False), "uniformly spaced"),
+        (lambda t: t.replace("\n0,0.5,", "\n0,nan,", 1), "uniformly spaced"),
+        (lambda t: t.replace("\n0.20000000000000001,0.5,", "\n0.20000000000000001,nan,", 1), "t=0.2 has a different x grid"),
+        (lambda t: drop_line(t, 20), "t=0.1 has a different x grid"),
+        (lambda t: drop_line(t, 51), "t=0.2 has a different x grid"),
         (lambda t: trajectory_csv_text(times=(0.0, 0.1, 0.05)), "strictly increase"),
+        (lambda t: trajectory_csv_text(times=(0.0, 0.1, 0.0)), "strictly increase"),
     ],
 )
 def test_read_trajectory_csv_rejects_malformed_input(tmp_path, mutate, match):
     path = write(tmp_path, "bad.csv", mutate(trajectory_csv_text()))
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=match) as info:
         read_ks_trajectory_csv(path, KSParams(1.0, 1.0, 1.0, 0.0))
+    assert str(info.value).startswith(path + ":")
 
 
 def test_read_trajectory_csv_rejects_header_only_file(tmp_path, capsys):
@@ -480,6 +502,7 @@ def test_transform_error_paths(tmp_path, capsys):
     cfg_path = write(tmp_path, "bridge.cfg", MINIMAL)
     assert main(["transform", "--config", cfg_path, "--out", str(tmp_path / "o1")]) == 2
     assert "ks_csv" in capsys.readouterr().err
+    assert not (tmp_path / "o1").exists()  # rejected before anything is written
     # ks_csv points at a file that does not exist: an IO failure, not validation
     cfg_path = write(tmp_path, "bridge2.cfg", MINIMAL + "ks_csv = missing.csv\n")
     assert main(["transform", "--config", cfg_path, "--out", str(tmp_path / "o2")]) == 3
@@ -493,4 +516,5 @@ def test_transform_error_paths(tmp_path, capsys):
     short = write(tmp_path, "short.csv", trajectory_csv_text(times=(0.0, 0.1)))
     cfg_path = write(tmp_path, "bridge4.cfg", MINIMAL + f"ks_csv = {short}\n")
     assert main(["transform", "--config", cfg_path, "--out", str(tmp_path / "o4")]) == 2
-    assert "3 time levels" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "3 time levels" in err and short in err

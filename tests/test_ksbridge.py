@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chemoflux.ksbridge import (
+    GradientState,
     KSParams,
     KSState,
     RescaleFactors,
@@ -116,6 +117,32 @@ def test_inverse_validation():
             inverse_hopf_cole(blow, grid, c_anchor=1.0)
 
 
+def recurrence_inverse(v, dx, c_anchor):
+    """Reference inverse: the midpoint recurrence and the product, node by node."""
+    m = np.empty(v.size - 1)
+    m[0] = 0.5 * (v[0] + v[1])
+    for i in range(1, m.size):
+        m[i] = 2.0 * v[i] - m[i - 1]
+    c = np.empty(v.size)
+    c[0] = c_anchor
+    step = np.exp(-m * dx)
+    for i in range(m.size):
+        c[i + 1] = c[i] * step[i]
+    return c
+
+
+@pytest.mark.parametrize("n_nodes", [9, 64, 1025])
+def test_inverse_is_bitwise_the_recurrence(n_nodes):
+    grid = Grid1D(0.0, 1.0, n_nodes - 1)
+    rng = np.random.default_rng(n_nodes)
+    for _ in range(40):
+        # mixed signs, magnitudes from 1e-3 up to 1e3
+        v = rng.uniform(-1.0, 1.0, n_nodes) * 10.0 ** rng.uniform(-3.0, 3.0, n_nodes)
+        anchor = float(np.exp(rng.uniform(-3.0, 3.0)))
+        c = inverse_hopf_cole(GradientState(np.zeros(n_nodes), v, 0.0), grid, anchor)
+        assert np.array_equal(c, recurrence_inverse(v, grid.dx, anchor))
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_property_roundtrip_is_exact_to_rounding(seed):
@@ -205,6 +232,8 @@ def test_residual_validation():
         residual_vs_conservation_form([ks(c), ks(c, t=0.1)], grid)
     with pytest.raises(ValueError, match="increase"):
         residual_vs_conservation_form([ks(c, t=0.2), ks(c, t=0.1), ks(c, t=0.3)], grid)
+    with pytest.raises(ValueError, match="finite"):
+        residual_vs_conservation_form([ks(c, t=-math.inf), ks(c), ks(c, t=math.inf)], grid)
     with pytest.raises(ValueError, match="equally spaced"):
         residual_vs_conservation_form([ks(c), ks(c, t=0.1), ks(c, t=0.3)], grid)
 

@@ -1,4 +1,4 @@
-"""Problem-description types, entropy pair, flux, and initial-data synthesis."""
+"""Problem-description types, entropy pair, and initial-data synthesis."""
 import math
 
 import numpy as np
@@ -15,7 +15,6 @@ from chemoflux.model import (
     ProblemSetup,
     State,
     entropy_pair,
-    flux,
     make_initial,
 )
 
@@ -30,7 +29,7 @@ def cosine_setup(kind=Kind.IBVP, epsilon=0.05, t_final=0.5, **kw):
     )
 
 
-# ---------------------------------------------------------------- entropy/flux
+# --------------------------------------------------------------------- entropy
 
 
 def test_entropy_pair_frozen_values():
@@ -68,15 +67,6 @@ def test_entropy_domain_errors_name_the_value():
         entropy_pair(0.0, -1.0, 1.0, 0.0)
     with pytest.raises(ValueError, match="0"):
         entropy_pair(0.0, 1.0, 0.0, 0.0)
-
-
-def test_flux_frozen_values():
-    fu, fv = flux(2.0, 3.0, 0.5)
-    assert fu == -1.0  # 0.5*4 - 3
-    assert fv == -6.0  # -(2*3)
-    fu0, fv0 = flux(2.0, 3.0, 0.0)
-    assert fu0 == -3.0  # limit flux is -v alone
-    assert fv0 == -6.0
 
 
 @settings(max_examples=80, deadline=None)
