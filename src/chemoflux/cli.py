@@ -389,7 +389,7 @@ def _energy_spread(report) -> float:
 def _cmd_converge(cfg: RunConfig, out: str, quiet: bool, eps_override) -> int:
     setup, grid, solver = build_setup(cfg), build_grid(cfg), build_solver(cfg)
     ladder = eps_override if eps_override is not None else cfg.eps_ladder
-    report = run_ladder(setup, grid, solver, ladder)
+    report = run_ladder(setup, grid, solver, ladder, stride=cfg.stride)
     spread = _energy_spread(report)
     if cfg.kind is Kind.CAUCHY_TRUNCATED:
         slope_window = (0.85, 1.15)
@@ -481,15 +481,16 @@ def _cmd_self_converge(cfg: RunConfig, out: str, quiet: bool) -> int:
 def _cmd_transform(cfg: RunConfig, out: str, quiet: bool) -> int:
     params = KSParams(cfg.ks_d, cfg.ks_chi, cfg.ks_alpha, cfg.ks_epsilon)
     traj, grid = read_ks_trajectory_csv(cfg.ks_csv, params)
+    states = [hopf_cole(ks, grid) for ks in traj]
     try:
-        res = residual_vs_conservation_form(traj, grid)
+        res = residual_vs_conservation_form(states, grid, params)
     except ValueError as exc:
         raise ValueError(f"{cfg.ks_csv}: {exc}") from None
     roundtrip = 0.0
-    for ks in traj:
-        c_back = inverse_hopf_cole(hopf_cole(ks, grid), grid, float(ks.c[0]))
+    for ks, state in zip(traj, states):
+        c_back = inverse_hopf_cole(state, grid, float(ks.c[0]))
         roundtrip = max(roundtrip, float(np.max(np.abs(c_back - ks.c) / ks.c)))
-    emit_state_csv(hopf_cole(traj[-1], grid), grid, os.path.join(out, "transformed_final.csv"))
+    emit_state_csv(states[-1], grid, os.path.join(out, "transformed_final.csv"))
     emit_report_json(
         {
             **{k: getattr(res, k) for k in ("l2_density", "linf_density", "l2_gradient", "linf_gradient")},

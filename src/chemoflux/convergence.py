@@ -1,12 +1,14 @@
 """Viscosity-ladder experiments and refinement studies.
 
-A ladder integrates the same initial data once with epsilon = 0 (the
-baseline) and once per positive epsilon, all on one grid with one shared
-fixed dt, then measures sup-in-time L-infinity distances
+A ladder steps the same initial data with epsilon = 0 (the baseline) and
+with each positive epsilon, all on one grid with one shared fixed dt.  The
+members advance together, one record at a time, and the sup-in-time
+L-infinity distances
 
     err_u(eps) = sup_t max_x |u_eps - u_0|,   err_v(eps) likewise,
 
-and fits the slope of log(err_u + err_v) against log(eps).  Sharing the
+are running maxima over the records, so no trajectory is stored.  The
+slope of log(err_u + err_v) against log(eps) is then fitted.  Sharing the
 grid and dt makes the discretization error largely cancel in the
 differences, so the fitted slope isolates the viscosity effect; the
 self_convergence guard quantifies the residual discretization error.
@@ -21,7 +23,8 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRecord
 from .model import FieldError, Grid1D, Kind, ProblemSetup, make_initial
-from .stepping import SolverConfig, TrajectoryRecorder, integrate, _nominal_dt
+from .stepping import SolverConfig, TrajectoryRecorder, integrate
+from .stepping import _check_stride, _far_field_contact, _nominal_dt, _trajectory
 
 __all__ = [
     "RungError",
@@ -126,9 +129,7 @@ def check_ladder(eps_ladder: Sequence[float]) -> tuple:
     return eps
 
 
-def _resolve_shared_dt(
-    setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, eps_max: float
-):
+def _resolve_shared_dt(setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, eps_max: float):
     """One fixed dt for every member of a comparison family."""
     if cfg.dt is not None:
         return cfg.dt, f"fixed dt supplied ({cfg.dt:g})"
@@ -137,17 +138,12 @@ def _resolve_shared_dt(
     return dt, f"dt = {dt:g} derived once from initial data (cfl = {cfg.cfl:g} at eps = {eps_max:g})"
 
 
-def _sup_linf_diffs(rec_a: TrajectoryRecorder, rec_b: TrajectoryRecorder):
-    if len(rec_a.records) != len(rec_b.records):
-        raise RuntimeError("comparison runs recorded different numbers of states")
-    err_u = 0.0
-    err_v = 0.0
-    for (sa, _), (sb, _) in zip(rec_a.records, rec_b.records):
-        if abs(sa.t - sb.t) > 1e-12 * max(1.0, sa.t):
-            raise RuntimeError(f"record times diverged: {sa.t} vs {sb.t}")
-        err_u = max(err_u, float(np.max(np.abs(sa.u - sb.u))))
-        err_v = max(err_v, float(np.max(np.abs(sa.v - sb.v))))
-    return err_u, err_v
+def _member(setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, stride: int):
+    """The stepping loop of one ladder member; a failure names its epsilon."""
+    try:
+        yield from _trajectory(setup, grid, cfg, stride)
+    except RuntimeError as exc:
+        raise LadderError(setup.epsilon, exc) from exc
 
 
 def run_ladder(
@@ -159,36 +155,34 @@ def run_ladder(
 ) -> ConvergenceReport:
     """Integrate the epsilon ladder against the shared epsilon = 0 baseline.
 
-    Identical initial data, grid, and (fixed) dt for every member; errors are
-    sampled at the shared record times and the max taken.  Any member failure
-    raises LadderError naming the epsilon (0.0 for the baseline).
+    Identical initial data, grid, and (fixed) dt for every member, all
+    stepped together (see the module docstring).  The first member to fail,
+    in record order with the baseline first, raises LadderError naming its
+    epsilon (0.0 for the baseline).
     """
     eps = check_ladder(eps_ladder)
+    _check_stride(stride)
 
     dt, policy = _resolve_shared_dt(setup_template, grid, cfg, max(eps))
     cfg_run = replace(cfg, dt=dt, cfl=None)
-
-    def _run(e: float) -> TrajectoryRecorder:
-        setup = replace(setup_template, epsilon=e)
-        try:
-            return integrate(setup, grid, cfg_run, TrajectoryRecorder(stride=stride))
-        except RuntimeError as exc:
-            raise LadderError(e, exc) from exc
-
-    base = _run(0.0)
-    rows = []
-    for e in eps:
-        rec = _run(e)
-        err_u, err_v = _sup_linf_diffs(rec, base)
-        rows.append(
-            RungError(
-                eps=e,
-                err_u=err_u,
-                err_v=err_v,
-                err_sum=err_u + err_v,
-                energy=energy_functional(rec.diagnostics),
-            )
-        )
+    members = [replace(setup_template, epsilon=e) for e in (0.0, *eps)]
+    far_field_ok = True
+    err_u = [0.0] * len(eps)
+    err_v = [0.0] * len(eps)
+    diags = [[] for _ in members]
+    # one dt, t_final and stride for all: the k-th records share one time
+    for records in zip(*(_member(s, grid, cfg_run, stride) for s in members), strict=True):
+        base = records[0][0]
+        for k, (state, diag) in enumerate(records):
+            diags[k].append(diag)
+            if k:
+                err_u[k - 1] = max(err_u[k - 1], float(np.max(np.abs(state.u - base.u))))
+                err_v[k - 1] = max(err_v[k - 1], float(np.max(np.abs(state.v - base.v))))
+        far_field_ok = far_field_ok and _far_field_contact(base, setup_template)
+    rows = [
+        RungError(eps=e, err_u=eu, err_v=ev, err_sum=eu + ev, energy=energy_functional(d))
+        for e, eu, ev, d in zip(eps, err_u, err_v, diags[1:])
+    ]
 
     slope, intercept, max_res = fit_slope([(r.eps, r.err_sum) for r in rows])
     span = math.log(max(eps)) - math.log(min(eps))
@@ -210,18 +204,16 @@ def run_ladder(
         baseline_meta={
             "epsilon": 0.0,
             "t_final": setup_template.t_final,
-            "n_records": len(base.records),
-            "energy": energy_functional(base.diagnostics),
-            "far_field_ok": base.far_field_ok,
+            "n_records": len(diags[0]),
+            "energy": energy_functional(diags[0]),
+            "far_field_ok": far_field_ok,
             "description": "limit-system run with identical initial data, grid, and dt",
         },
         errors_monotone=monotone,
     )
 
 
-def self_convergence(
-    setup: ProblemSetup, grids: Sequence[Grid1D], cfg: SolverConfig
-):
+def self_convergence(setup: ProblemSetup, grids: Sequence[Grid1D], cfg: SolverConfig):
     """Richardson-style guard: integrate on successive factor-2 refinements
     and compare final states on the shared (coarse) nodes.
 

@@ -193,25 +193,22 @@ class ConservationFormResidual:
 
 
 def residual_vs_conservation_form(
-    ks_trajectory: Sequence[KSState], grid: Grid1D
+    states: Sequence[GradientState], grid: Grid1D, params: KSParams
 ) -> ConservationFormResidual:
-    """Check a chemotaxis trajectory against the conservation-law form of its
-    own dynamics, written in the transformed variables.
+    """Check a chemotaxis trajectory, transformed by hopf_cole, against the
+    conservation-law form of the dynamics with coefficients `params`.
 
     Needs >= 3 equally spaced states; uses centered differences in time and
     space, interior nodes only.
     """
-    traj = list(ks_trajectory)
-    if len(traj) < 3:
-        raise ValueError(f"need at least 3 states (3 time levels) for centered differences, got {len(traj)}")
-    times = [s.t for s in traj]
+    if len(states) < 3:
+        raise ValueError(f"need at least 3 states (3 time levels) for centered differences, got {len(states)}")
+    times = [s.t for s in states]
     gaps = np.diff(times)
     if not np.all((gaps > 0) & (gaps < np.inf)):
         raise ValueError(f"state times must be finite and increase, got {times}")
     if np.max(np.abs(gaps - gaps[0])) > 1e-12 * max(gaps[0], 1.0):
         raise ValueError(f"states are not equally spaced in time: gaps {gaps}")
-    params = traj[0].params
-    states = [hopf_cole(s, grid) for s in traj]
     dt = float(gaps[0])
     dx = grid.dx
     eps, alpha, chi, D = params.epsilon, params.alpha_rate, params.chi, params.D

@@ -158,8 +158,8 @@ class ProblemSetup:
             raise FieldError("epsilon", f"epsilon must be >= 0, got {self.epsilon}")
         if not self.v_infinity > 0.0:
             raise FieldError("v_infinity", f"v_infinity must be positive, got {self.v_infinity}")
-        if not self.t_final >= 0.0:
-            raise FieldError("t_final", f"t_final must be >= 0, got {self.t_final}")
+        if not 0.0 <= self.t_final < np.inf:
+            raise FieldError("t_final", f"t_final must be finite and >= 0, got {self.t_final}")
         at_fault = ("alpha_floor",)
         if self.alpha_floor is None:
             if self.initial_data.family is Family.CUSTOM:

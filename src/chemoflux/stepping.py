@@ -112,6 +112,11 @@ class SolverConfig:
             )
 
 
+def _check_stride(stride):
+    if int(stride) != stride or stride < 1:
+        raise FieldError("stride", f"stride must be a positive integer, got {stride}")
+
+
 @dataclass
 class TrajectoryRecorder:
     """Collects (State, DiagnosticsRecord) pairs every `stride` steps plus the
@@ -123,8 +128,7 @@ class TrajectoryRecorder:
     far_field_ok: bool = True
 
     def __post_init__(self):
-        if int(self.stride) != self.stride or self.stride < 1:
-            raise FieldError("stride", f"stride must be a positive integer, got {self.stride}")
+        _check_stride(self.stride)
 
     def add(self, state: State, diag: DiagnosticsRecord):
         if self.records and not state.t > self.records[-1][0].t:
@@ -271,36 +275,29 @@ def step(state: State, setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig) -> 
     return _advance(state, setup, grid, dt, state.t + dt)
 
 
-def _far_field_contact(state: State, v_inf: float) -> bool:
+def _far_field_contact(state: State, setup: ProblemSetup) -> bool:
+    """Whether a truncated-line state is at the far field (0, v_inf) in the
+    outer 10% of the domain; always True between walls."""
+    if setup.kind is Kind.IBVP:
+        return True
     edge = max(1, state.u.shape[0] // 10)
     for sl in (slice(0, edge), slice(-edge, None)):
         if np.max(np.abs(state.u[sl])) > FAR_FIELD_TOL:
             return False
-        if np.max(np.abs(state.v[sl] - v_inf)) > FAR_FIELD_TOL:
+        if np.max(np.abs(state.v[sl] - setup.v_infinity)) > FAR_FIELD_TOL:
             return False
     return True
 
 
-def integrate(
-    setup: ProblemSetup,
-    grid: Grid1D,
-    cfg: SolverConfig,
-    rec: Optional[TrajectoryRecorder] = None,
-) -> TrajectoryRecorder:
-    """Step to t_final (last step clipped to land exactly there), recording
-    every rec.stride steps plus the final state.
+def _trajectory(setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, stride: int):
+    """Step to t_final (last step clipped to land exactly there), yielding
+    (state, audit record) at t = 0, every `stride` steps and at t_final.
 
     Stepper failures propagate with the failing time attached; running out
-    of max_steps raises ProgressError.  t_final = 0 yields a recorder holding
-    only the initial state.
+    of max_steps raises ProgressError.
     """
-    if rec is None:
-        rec = TrajectoryRecorder(stride=1)
-    cauchy = setup.kind is Kind.CAUCHY_TRUNCATED
     state = make_initial(setup, grid)
-    rec.add(state, audit_record(state, grid, setup))
-    if cauchy:
-        rec.far_field_ok = rec.far_field_ok and _far_field_contact(state, setup.v_infinity)
+    yield state, audit_record(state, grid, setup)
     t_final = setup.t_final
     steps = 0
     while state.t < t_final:
@@ -313,10 +310,23 @@ def integrate(
         dt, t_new = (remaining, t_final) if last else (dt, state.t + dt)
         state = _advance(state, setup, grid, dt, t_new)
         steps += 1
-        if last or steps % rec.stride == 0:
-            rec.add(state, audit_record(state, grid, setup))
-            if cauchy:
-                rec.far_field_ok = rec.far_field_ok and _far_field_contact(
-                    state, setup.v_infinity
-                )
+        if last or steps % stride == 0:
+            yield state, audit_record(state, grid, setup)
+
+
+def integrate(
+    setup: ProblemSetup,
+    grid: Grid1D,
+    cfg: SolverConfig,
+    rec: Optional[TrajectoryRecorder] = None,
+) -> TrajectoryRecorder:
+    """Run the stepping loop (_trajectory) to t_final, recording every
+    rec.stride steps plus the final state and running the far-field monitor
+    on each record.  t_final = 0 yields a recorder holding only the initial
+    state."""
+    if rec is None:
+        rec = TrajectoryRecorder(stride=1)
+    for state, diag in _trajectory(setup, grid, cfg, rec.stride):
+        rec.add(state, diag)
+        rec.far_field_ok = rec.far_field_ok and _far_field_contact(state, setup)
     return rec

@@ -438,6 +438,21 @@ def test_converge_mini_ladder_through_cli(tmp_path):
     assert len(payload["errors"]) == 3
 
 
+def test_converge_samples_the_ladder_at_the_config_stride(tmp_path):
+    # 23 steps of the fixed dt, the last one clipped
+    cfg_path = write(
+        tmp_path,
+        "ladder.cfg",
+        "kind = ibvp\nepsilon = 0.05\nt_final = 0.0225\nn_cells = 64\ndt = 0.001\nstride = 3\n",
+    )
+    out = str(tmp_path / "o")
+    assert main(["converge", "--config", cfg_path, "--out", out, "--quiet"]) in (0, 4)
+    payload = json.loads(open(os.path.join(out, "report.json")).read())
+    assert payload["grid_meta"]["stride"] == 3
+    assert payload["baseline_meta"]["n_records"] == -(-23 // 3) + 1
+    assert "stride = 3\n" in open(os.path.join(out, "effective_config.cfg")).read()
+
+
 def test_entropy_check_through_cli(tmp_path):
     cfg_path = write(
         tmp_path,

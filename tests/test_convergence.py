@@ -1,5 +1,7 @@
 """Slope fitting, the viscosity ladder, and the refinement guard."""
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from chemoflux.convergence import (
     ConvergenceReport,
     LadderError,
+    RungError,
     energy_functional,
     fit_slope,
     run_ladder,
@@ -16,7 +19,7 @@ from chemoflux.convergence import (
 )
 from chemoflux.diagnostics import DiagnosticsRecord
 from chemoflux.model import Family, Grid1D, InitialProfile, Kind, ProblemSetup
-from chemoflux.stepping import ProgressError, SolverConfig
+from chemoflux.stepping import ProgressError, SolverConfig, TrajectoryRecorder, integrate
 
 
 def cosine_setup(epsilon=0.05, t_final=0.5, **kw):
@@ -158,6 +161,70 @@ def test_ladder_failure_names_the_epsilon():
     assert info.value.eps == 0.0  # the shared baseline runs first
     assert isinstance(info.value.cause, ProgressError)
     assert "epsilon = 0" in str(info.value)
+
+
+def sequential_ladder(setup, grid, cfg, eps_ladder, stride):
+    """The reference: integrate each member to the end in turn, keep every
+    record, then take the sup over the records of the differences."""
+
+    def run(e):
+        return integrate(replace(setup, epsilon=e), grid, cfg, TrajectoryRecorder(stride=stride))
+
+    base = run(0.0)
+    rows = []
+    for e in eps_ladder:
+        rec = run(e)
+        assert rec.times == base.times
+        err_u = err_v = 0.0
+        for s, b in zip(rec.states, base.states):
+            err_u = max(err_u, float(np.max(np.abs(s.u - b.u))))
+            err_v = max(err_v, float(np.max(np.abs(s.v - b.v))))
+        rows.append(RungError(e, err_u, err_v, err_u + err_v, energy_functional(rec.diagnostics)))
+    return tuple(rows), base
+
+
+@pytest.mark.parametrize("stride", [1, 3, 10])
+@pytest.mark.parametrize("kind", [Kind.IBVP, Kind.CAUCHY_TRUNCATED])
+def test_lockstep_ladder_is_bitwise_the_sequential_ladder(kind, stride):
+    if kind is Kind.IBVP:
+        grid, dt, family = Grid1D(0.0, 1.0, 64), 0.002, Family.COSINE_PAIR
+    else:
+        grid, dt, family = Grid1D(-20.0, 20.0, 128), 0.02, Family.GAUSSIAN_BUMP
+    # 47 steps, the last one clipped: no stride divides the step count
+    setup = ProblemSetup(
+        kind=kind, epsilon=0.05, t_final=46.5 * dt, initial_data=InitialProfile(family=family)
+    )
+    cfg = SolverConfig(dt=dt)
+    eps = (0.1, 0.05, 0.025)
+    report = run_ladder(setup, grid, cfg, eps, stride=stride)
+    rows, base = sequential_ladder(setup, grid, cfg, eps, stride)
+    assert report.errors == rows
+    assert report.baseline_meta["n_records"] == len(base.records) == -(-47 // stride) + 1
+    assert report.baseline_meta["energy"] == energy_functional(base.diagnostics)
+    assert report.baseline_meta["far_field_ok"] is base.far_field_ok is True
+    assert report.grid_meta["stride"] == stride
+
+
+def test_ladder_memory_does_not_grow_with_the_record_count():
+    grid = Grid1D(0.0, 1.0, 1024)
+    cfg = SolverConfig(dt=1e-4)
+    eps = (0.1, 0.05, 0.025)
+
+    def run(steps):
+        return run_ladder(cosine_setup(t_final=(steps - 0.5) * 1e-4), grid, cfg, eps, stride=1)
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            run(steps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run(3)  # warm the lazy imports and caches outside the measurement
+    short, long = peak(123), peak(245)
+    # fewer bytes per extra record than one recorded state holds
+    assert (long - short) / (245 - 123) < 16 * grid.n_nodes
 
 
 # ------------------------------------------------------------ self_convergence

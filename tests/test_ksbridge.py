@@ -203,9 +203,14 @@ def test_ks_state_validation():
 # ------------------------------------------------------------------- residual
 
 
+def transformed(traj, grid):
+    return [hopf_cole(s, grid) for s in traj]
+
+
 def manufactured_trajectory(n_cells, dt, n_levels=5):
     """u = 0 and c solving c_t = eps*c_xx exactly: the gradient field then
-    solves the transformed conservation law, so all residual is truncation."""
+    solves the transformed conservation law, so all residual is truncation.
+    Returns the transformed states, the grid and the coefficients."""
     grid = Grid1D(0.0, 1.0, n_cells)
     params = KSParams(D=1.3, chi=0.7, alpha_rate=0.9, epsilon=0.5)
     k = math.pi
@@ -214,13 +219,13 @@ def manufactured_trajectory(n_cells, dt, n_levels=5):
         t = j * dt
         c = 2.0 + 0.5 * math.exp(-params.epsilon * k * k * t) * np.cos(k * grid.x)
         traj.append(KSState(c, np.zeros(grid.n_nodes), t, params))
-    return traj, grid
+    return transformed(traj, grid), grid, params
 
 
 def test_residual_zero_for_constant_state():
     grid = Grid1D(0.0, 1.0, 64)
     traj = [ks(np.full(grid.n_nodes, 2.0), t=0.1 * j) for j in range(3)]
-    res = residual_vs_conservation_form(traj, grid)
+    res = residual_vs_conservation_form(transformed(traj, grid), grid, PARAMS)
     assert res.l2_density == 0.0 and res.linf_density == 0.0
     assert res.l2_gradient == 0.0 and res.linf_gradient == 0.0
 
@@ -228,21 +233,23 @@ def test_residual_zero_for_constant_state():
 def test_residual_validation():
     grid = Grid1D(0.0, 1.0, 64)
     c = np.full(grid.n_nodes, 2.0)
+
+    def check(*times):
+        return residual_vs_conservation_form(transformed([ks(c, t=t) for t in times], grid), grid, PARAMS)
+
     with pytest.raises(ValueError, match="3 states"):
-        residual_vs_conservation_form([ks(c), ks(c, t=0.1)], grid)
+        check(0.0, 0.1)
     with pytest.raises(ValueError, match="increase"):
-        residual_vs_conservation_form([ks(c, t=0.2), ks(c, t=0.1), ks(c, t=0.3)], grid)
+        check(0.2, 0.1, 0.3)
     with pytest.raises(ValueError, match="finite"):
-        residual_vs_conservation_form([ks(c, t=-math.inf), ks(c), ks(c, t=math.inf)], grid)
+        check(-math.inf, 0.0, math.inf)
     with pytest.raises(ValueError, match="equally spaced"):
-        residual_vs_conservation_form([ks(c), ks(c, t=0.1), ks(c, t=0.3)], grid)
+        check(0.0, 0.1, 0.3)
 
 
 def test_residual_refines_at_second_order_on_manufactured_solution():
-    coarse_traj, coarse_grid = manufactured_trajectory(64, 0.005)
-    fine_traj, fine_grid = manufactured_trajectory(128, 0.0025)
-    coarse = residual_vs_conservation_form(coarse_traj, coarse_grid)
-    fine = residual_vs_conservation_form(fine_traj, fine_grid)
+    coarse = residual_vs_conservation_form(*manufactured_trajectory(64, 0.005))
+    fine = residual_vs_conservation_form(*manufactured_trajectory(128, 0.0025))
     # the density equation is satisfied identically (u = 0)
     assert np.all(coarse.density_residual == 0.0)
     assert np.all(fine.density_residual == 0.0)
@@ -261,5 +268,6 @@ def test_residual_is_order_one_on_unrelated_states():
     def noisy(t):
         return ks(np.exp(rng.uniform(-1.0, 1.0, grid.n_nodes)), t=t)
 
-    res = residual_vs_conservation_form([noisy(0.0), noisy(0.01), noisy(0.02)], grid)
+    traj = [noisy(0.0), noisy(0.01), noisy(0.02)]
+    res = residual_vs_conservation_form(transformed(traj, grid), grid, PARAMS)
     assert res.l2_gradient > 0.1

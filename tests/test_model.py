@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from chemoflux.model import (
     BOUNDARY_TOL,
     Family,
+    FieldError,
     Grid1D,
     InitialProfile,
     Kind,
@@ -125,6 +126,11 @@ def test_setup_validation_and_floor_default():
         cosine_setup(epsilon=-0.01)
     with pytest.raises(ValueError):
         cosine_setup(t_final=-1.0)
+    # a run to t_final = inf would step until max_steps instead of failing here
+    for t_final in (math.inf, math.nan):
+        with pytest.raises(FieldError, match="t_final") as info:
+            cosine_setup(t_final=t_final)
+        assert info.value.fields == ("t_final",)
     with pytest.raises(ValueError):
         cosine_setup(v_infinity=0.0)
     with pytest.raises(ValueError):
