@@ -423,7 +423,7 @@ def _cmd_entropy_check(cfg: RunConfig, out: str, quiet: bool) -> int:
     rec = integrate(setup, grid, solver, TrajectoryRecorder(stride=cfg.stride))
     final = rec.records[-1][0]
     # two extra fixed-dt steps give an exactly spaced triple for the residual
-    dt = _nominal_dt(final, setup, grid, solver)
+    dt = _nominal_dt(final, setup.epsilon, grid, solver)
     cfg_fixed = SolverConfig(dt=dt, max_steps=solver.max_steps)
     s1 = step(final, setup, grid, cfg_fixed)
     s2 = step(s1, setup, grid, cfg_fixed)

@@ -2,8 +2,9 @@
 
 A ladder steps the same initial data with epsilon = 0 (the baseline) and
 with each positive epsilon, all on one grid with one shared fixed dt.  The
-members advance together, one record at a time, and the sup-in-time
-L-infinity distances
+members advance together as the rows of one (k + 1, n) stack, so each step
+makes one kernel call and one FFT solve per field for all of them, and the
+sup-in-time L-infinity distances
 
     err_u(eps) = sup_t max_x |u_eps - u_0|,   err_v(eps) likewise,
 
@@ -21,10 +22,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord
-from .model import FieldError, Grid1D, Kind, ProblemSetup, make_initial
-from .stepping import SolverConfig, TrajectoryRecorder, integrate
-from .stepping import _check_stride, _far_field_contact, _nominal_dt, _trajectory
+from .diagnostics import DiagnosticsRecord, audit_record
+from .model import FieldError, Grid1D, Kind, ProblemSetup, State, make_initial
+from .stepping import ProgressError, SolverConfig, TrajectoryRecorder, integrate
+from .stepping import _check_stride, _far_field_contact, _nominal_dt, _RowFailure, _trajectory
 
 __all__ = [
     "RungError",
@@ -133,17 +134,8 @@ def _resolve_shared_dt(setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, eps
     """One fixed dt for every member of a comparison family."""
     if cfg.dt is not None:
         return cfg.dt, f"fixed dt supplied ({cfg.dt:g})"
-    probe = replace(setup, epsilon=eps_max)
-    dt = _nominal_dt(make_initial(probe, grid), probe, grid, cfg)
+    dt = _nominal_dt(make_initial(setup, grid), eps_max, grid, cfg)
     return dt, f"dt = {dt:g} derived once from initial data (cfl = {cfg.cfl:g} at eps = {eps_max:g})"
-
-
-def _member(setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, stride: int):
-    """The stepping loop of one ladder member; a failure names its epsilon."""
-    try:
-        yield from _trajectory(setup, grid, cfg, stride)
-    except RuntimeError as exc:
-        raise LadderError(setup.epsilon, exc) from exc
 
 
 def run_ladder(
@@ -156,9 +148,10 @@ def run_ladder(
     """Integrate the epsilon ladder against the shared epsilon = 0 baseline.
 
     Identical initial data, grid, and (fixed) dt for every member, all
-    stepped together (see the module docstring).  The first member to fail,
-    in record order with the baseline first, raises LadderError naming its
-    epsilon (0.0 for the baseline).
+    stepped together as the rows of one stack (see the module docstring).
+    The member that fails at the earliest step, the baseline first on a
+    tie, raises LadderError naming its epsilon (0.0 for the baseline);
+    running out of max_steps is attributed to the baseline.
     """
     eps = check_ladder(eps_ladder)
     _check_stride(stride)
@@ -166,22 +159,26 @@ def run_ladder(
     dt, policy = _resolve_shared_dt(setup_template, grid, cfg, max(eps))
     cfg_run = replace(cfg, dt=dt, cfl=None)
     members = [replace(setup_template, epsilon=e) for e in (0.0, *eps)]
+    column = np.array([s.epsilon for s in members])[:, None]
     far_field_ok = True
-    err_u = [0.0] * len(eps)
-    err_v = [0.0] * len(eps)
+    err_u = np.zeros(len(eps))
+    err_v = np.zeros(len(eps))
     diags = [[] for _ in members]
-    # one dt, t_final and stride for all: the k-th records share one time
-    for records in zip(*(_member(s, grid, cfg_run, stride) for s in members), strict=True):
-        base = records[0][0]
-        for k, (state, diag) in enumerate(records):
-            diags[k].append(diag)
-            if k:
-                err_u[k - 1] = max(err_u[k - 1], float(np.max(np.abs(state.u - base.u))))
-                err_v[k - 1] = max(err_v[k - 1], float(np.max(np.abs(state.v - base.v))))
-        far_field_ok = far_field_ok and _far_field_contact(base, setup_template)
+    try:
+        for stack in _trajectory(setup_template, grid, cfg_run, stride, column):
+            states = [State(u, v, stack.t) for u, v in zip(stack.u, stack.v)]
+            for d, s, state in zip(diags, members, states):
+                d.append(audit_record(state, grid, s))
+            err_u = np.maximum(err_u, np.max(np.abs(stack.u[1:] - stack.u[0]), axis=-1))
+            err_v = np.maximum(err_v, np.max(np.abs(stack.v[1:] - stack.v[0]), axis=-1))
+            far_field_ok = far_field_ok and _far_field_contact(states[0], setup_template)
+    except _RowFailure as exc:
+        raise LadderError(members[exc.row].epsilon, exc.cause) from exc.cause
+    except ProgressError as exc:
+        raise LadderError(0.0, exc) from exc
     rows = [
         RungError(eps=e, err_u=eu, err_v=ev, err_sum=eu + ev, energy=energy_functional(d))
-        for e, eu, ev, d in zip(eps, err_u, err_v, diags[1:])
+        for e, eu, ev, d in zip(eps, err_u.tolist(), err_v.tolist(), diags[1:])
     ]
 
     slope, intercept, max_res = fit_slope([(r.eps, r.err_sum) for r in rows])

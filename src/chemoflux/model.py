@@ -89,9 +89,23 @@ class Grid1D:
         return np.linspace(self.x_left, self.x_right, self.n_cells + 1)
 
 
+def _first_fault(u: np.ndarray, v: np.ndarray):
+    """(row, node) of the first row, in order, that holds a non-finite value
+    (node None) or a v <= 0 (node: the argmin of v in that row); a 1-d state
+    is row 0.  Only for arrays that fail State's checks."""
+    u2, v2 = np.atleast_2d(u), np.atleast_2d(v)
+    finite = np.isfinite(u2).all(axis=-1) & np.isfinite(v2).all(axis=-1)
+    row = int(np.argmax(~finite | (v2 <= 0.0).any(axis=-1)))
+    return row, (int(np.argmin(v2[row])) if finite[row] else None)
+
+
 @dataclass
 class State:
-    """Solution snapshot at time t.  v must be strictly positive everywhere."""
+    """Solution snapshot at time t.  v must be strictly positive everywhere.
+
+    u and v are 1-d arrays over the grid's nodes, or (k, n) stacks of k such
+    rows stepped together (the members of a viscosity ladder); a failed
+    check names the first failing row and the node within it."""
 
     u: np.ndarray
     v: np.ndarray
@@ -100,13 +114,20 @@ class State:
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=float)
         self.v = np.asarray(self.v, dtype=float)
-        if self.u.ndim != 1 or self.u.shape != self.v.shape:
-            raise ValueError("u and v must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))):
-            raise ValueError("state arrays contain non-finite entries")
-        if np.any(self.v <= 0.0):
-            i = int(np.argmin(self.v))
-            raise ValueError(f"v must be strictly positive; v[{i}] = {self.v[i]}")
+        if self.u.ndim not in (1, 2) or self.u.shape != self.v.shape:
+            raise ValueError("u and v must be 1-d arrays, or (k, n) stacks, of equal shape")
+        if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))) or np.any(
+            self.v <= 0.0
+        ):
+            row, node = _first_fault(self.u, self.v)
+            stacked = self.v.ndim == 2
+            if node is None:
+                where = f" in row {row}" if stacked else ""
+                raise ValueError(f"state arrays contain non-finite entries{where}")
+            at = (row, node) if stacked else (node,)
+            raise ValueError(
+                f"v must be strictly positive; v[{', '.join(map(str, at))}] = {self.v[at]}"
+            )
         if not (np.isfinite(self.t) and self.t >= 0.0):
             raise ValueError(f"t must be finite and >= 0, got {self.t}")
 

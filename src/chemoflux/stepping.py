@@ -33,6 +33,14 @@ diagonalises the periodic matrix with eigenvalues 1 + lam * 2(1 - cos 2 pi k/N),
 so each implicit solve is one real FFT pair of the extended right-hand side
 (the fast-Poisson idea of Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 1970).
 
+Shapes: a single run steps (n,) arrays at a float epsilon.  A viscosity
+ladder steps its members as the rows of one (k, n) stack, with epsilon a
+(k, 1) column whose zero rows (the limit system) come first.  The symbol
+depends only on n, so every solve works along the last axis: one transform
+pair per field per step serves the whole stack, and the zero rows skip the
+u solve.  Each row comes out bitwise as its own (n,) step would, and one
+State check over the stack guards every member.
+
 The splitting is first order in time.  Refinement studies in this package
 therefore tie dt to dx^2 (or share one fixed dt across runs that get
 compared), keeping temporal error below the second-order spatial error.
@@ -46,7 +54,7 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord, audit_record
-from .model import FieldError, Grid1D, Kind, ProblemSetup, State, make_initial
+from .model import FieldError, Grid1D, Kind, ProblemSetup, State, _first_fault, make_initial
 
 __all__ = [
     "FAR_FIELD_TOL",
@@ -151,12 +159,14 @@ class TrajectoryRecorder:
         return [s.t for s, _ in self.records]
 
 
-def _nominal_dt(state: State, setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig) -> float:
+def _nominal_dt(state: State, epsilon, grid: Grid1D, cfg: SolverConfig) -> float:
+    """The policy's dt: cfg.dt, or the cfl step of the fastest wave speed.
+    epsilon is a float, or for a stack a (k, 1) column, one row per member."""
     if cfg.dt is not None:
         return cfg.dt
     speed = float(
         np.max(
-            2.0 * setup.epsilon * np.abs(state.u)
+            2.0 * epsilon * np.abs(state.u)
             + 1.0
             + np.abs(state.u)
             + np.sqrt(state.v)
@@ -176,26 +186,30 @@ def _laplacian_symbol(n: int) -> np.ndarray:
     return symbol
 
 
-def _diffuse(rhs: np.ndarray, lam: float, neumann: bool) -> np.ndarray:
-    """Backward-Euler diffusion solve (I - lam*L) x = rhs with wall closure:
-    Neumann mirror rows (1+2lam, -2lam), or both ends pinned to exactly 0.
+def _diffuse(rhs: np.ndarray, lam, neumann: bool) -> np.ndarray:
+    """Backward-Euler diffusion solve (I - lam*L) x = rhs along the last axis,
+    with wall closure: Neumann mirror rows (1+2lam, -2lam), or both ends
+    pinned to exactly 0.
 
-    The rhs is extended to period N = 2(n - 1), evenly for the mirror rows and
-    oddly (interior only) for the pinned ends, and solved in Fourier space.
+    rhs is one row (n,) with a float lam, or a (k, n) stack with a float or
+    a (k, 1) column of lam, one per row.  The rows are extended to period
+    N = 2(n - 1), evenly for the mirror rows and oddly (interior only) for
+    the pinned ends, and solved in Fourier space by one transform pair for
+    the whole stack; each row comes out bitwise as its own solve would.
     """
-    n = rhs.shape[0]
-    ext = np.empty(2 * (n - 1))
-    ext[:n] = rhs
+    n = rhs.shape[-1]
+    ext = np.empty(rhs.shape[:-1] + (2 * (n - 1),))
+    ext[..., :n] = rhs
     if neumann:
-        ext[n:] = rhs[-2:0:-1]
+        ext[..., n:] = rhs[..., -2:0:-1]
     else:
-        ext[0] = ext[n - 1] = 0.0
-        np.negative(rhs[-2:0:-1], out=ext[n:])
-    x = np.fft.irfft(np.fft.rfft(ext) / (1.0 + lam * _laplacian_symbol(n)), ext.shape[0])
+        ext[..., 0] = ext[..., n - 1] = 0.0
+        np.negative(rhs[..., -2:0:-1], out=ext[..., n:])
+    x = np.fft.irfft(np.fft.rfft(ext) / (1.0 + lam * _laplacian_symbol(n)), ext.shape[-1])
     # copy so recorded states do not keep the doubled buffer alive
-    x = x[:n].copy()
+    x = x[..., :n].copy()
     if not neumann:
-        x[0] = x[-1] = 0.0
+        x[..., 0] = x[..., -1] = 0.0
     return x
 
 
@@ -204,7 +218,7 @@ def coupled_imex_step(
     v: np.ndarray,
     dt: float,
     dx: float,
-    epsilon: float,
+    epsilon,
     *,
     ibvp: bool,
     v_inf: float,
@@ -217,6 +231,11 @@ def coupled_imex_step(
         u_t + (epsilon*u^2 - alpha*v)_x = epsilon * u_xx
         v_t - chi * (u*v)_x             = dcoef * v_xx
 
+    u and v are (n,) arrays with a float epsilon, or (k, n) stacks with a
+    (k, 1) epsilon column, one member per row, whose zero rows come first.
+    A stack makes one v solve and at most one u solve, for its viscous rows;
+    each row comes out bitwise as the (n,) call on that row would.
+
     The primary systems use alpha = chi = dcoef = 1; the general coefficients
     exist so pre-normalization parameter sets can be stepped with the exact
     same scheme.
@@ -226,28 +245,49 @@ def coupled_imex_step(
     r = dt / (2.0 * dx)
     un = np.empty_like(u)
     vn = np.empty_like(v)
-    un[1:-1] = u[1:-1] - r * (fu[2:] - fu[:-2])
-    vn[1:-1] = v[1:-1] - r * (fv[2:] - fv[:-2])
-    un[0] = un[-1] = 0.0
+    un[..., 1:-1] = u[..., 1:-1] - r * (fu[..., 2:] - fu[..., :-2])
+    vn[..., 1:-1] = v[..., 1:-1] - r * (fv[..., 2:] - fv[..., :-2])
+    un[..., 0] = un[..., -1] = 0.0
     if ibvp:
         # odd-u/even-v ghost: divergence at the wall reduces to +-fv[1]/dx
-        vn[0] = v[0] - (dt / dx) * fv[1]
-        vn[-1] = v[-1] + (dt / dx) * fv[-2]
+        vn[..., 0] = v[..., 0] - (dt / dx) * fv[..., 1]
+        vn[..., -1] = v[..., -1] + (dt / dx) * fv[..., -2]
     else:
-        vn[0] = vn[-1] = v_inf
+        vn[..., 0] = vn[..., -1] = v_inf
     # solve in the deviation w = v - v_inf: every matrix row sums to 1, so the
     # shift is exact.  The k = 0 symbol is exactly 1 and a zero rhs transforms
     # to exact zeros, so the rest state stays a bitwise fixed point.
     vn = v_inf + _diffuse(vn - v_inf, dcoef * dt / (dx * dx), neumann=ibvp)
-    if epsilon > 0.0:
-        un = _diffuse(un, epsilon * dt / (dx * dx), neumann=False)
+    # epsilon = 0 rows skip the u solve: an FFT round trip with lam = 0 is
+    # not bitwise the identity
+    if not isinstance(epsilon, np.ndarray):
+        if epsilon > 0.0:
+            un = _diffuse(un, epsilon * dt / (dx * dx), neumann=False)
+    else:
+        z = np.count_nonzero(epsilon == 0.0)
+        if z < un.shape[0]:
+            un[z:] = _diffuse(un[z:], epsilon[z:] * dt / (dx * dx), neumann=False)
     return un, vn
 
 
-def _advance(state: State, setup: ProblemSetup, grid: Grid1D, dt: float, t_new: float) -> State:
-    """One IMEX step of length dt, landing at t_new.  The new State's own
+class _RowFailure(RuntimeError):
+    """A stepper failure in one row of a (k, n) stack: `row` is the first
+    failing row, `cause` the error that row's own run would raise."""
+
+    def __init__(self, row: int, cause: RuntimeError):
+        self.row = row
+        self.cause = cause
+        super().__init__(f"row {row}: {cause}")
+
+
+def _advance(
+    state: State, setup: ProblemSetup, grid: Grid1D, epsilon, dt: float, t_new: float
+) -> State:
+    """One IMEX step of length dt, landing at t_new, of a 1-d state at a float
+    epsilon or of a (k, n) stack at an epsilon column.  The new State's own
     checks are the step's only scan for non-finite values and v <= 0; a
-    failure is reported as divergence or positivity loss at t_new."""
+    failure is reported as divergence or positivity loss at t_new, for a
+    stack wrapped in a _RowFailure naming the first failing row."""
     # blow-up is detected by value below, so silence overflow warnings here
     with np.errstate(all="ignore"):
         u, v = coupled_imex_step(
@@ -255,24 +295,26 @@ def _advance(state: State, setup: ProblemSetup, grid: Grid1D, dt: float, t_new: 
             state.v,
             dt,
             grid.dx,
-            setup.epsilon,
+            epsilon,
             ibvp=setup.kind is Kind.IBVP,
             v_inf=setup.v_infinity,
         )
     try:
         return State(u, v, t_new)
     except ValueError:
-        if np.all(np.isfinite(u)) and np.all(np.isfinite(v)):
-            raise PositivityLossError(int(np.argmin(v)), t_new) from None
-        raise DivergenceError(t_new) from None
+        row, node = _first_fault(u, v)
+        err = DivergenceError(t_new) if node is None else PositivityLossError(node, t_new)
+        if u.ndim == 1:
+            raise err from None
+        raise _RowFailure(row, err) from None
 
 
 def step(state: State, setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig) -> State:
     """One IMEX step at the policy's dt: of the viscous system for
     setup.epsilon > 0, of the limit system at epsilon = 0 (the u-flux
     degenerates to -v and u undergoes no diffusion)."""
-    dt = _nominal_dt(state, setup, grid, cfg)
-    return _advance(state, setup, grid, dt, state.t + dt)
+    dt = _nominal_dt(state, setup.epsilon, grid, cfg)
+    return _advance(state, setup, grid, setup.epsilon, dt, state.t + dt)
 
 
 def _far_field_contact(state: State, setup: ProblemSetup) -> bool:
@@ -289,29 +331,38 @@ def _far_field_contact(state: State, setup: ProblemSetup) -> bool:
     return True
 
 
-def _trajectory(setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, stride: int):
+def _trajectory(setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, stride: int, epsilon=None):
     """Step to t_final (last step clipped to land exactly there), yielding
-    (state, audit record) at t = 0, every `stride` steps and at t_final.
+    the state at t = 0, every `stride` steps and at t_final.
 
-    Stepper failures propagate with the failing time attached; running out
-    of max_steps raises ProgressError.
+    With epsilon None this is the run of setup.epsilon on 1-d arrays.  An
+    epsilon column (k, 1), zero rows first, steps k copies of the initial
+    data as one (k, n) stack, row i at epsilon[i], and yields stacked States.
+    Stepper failures propagate with the failing time attached (from a stack,
+    as a _RowFailure naming the row); running out of max_steps raises
+    ProgressError.
     """
     state = make_initial(setup, grid)
-    yield state, audit_record(state, grid, setup)
+    if epsilon is None:
+        epsilon = setup.epsilon
+    else:
+        rows = (epsilon.shape[0], 1)
+        state = State(np.tile(state.u, rows), np.tile(state.v, rows), state.t)
+    yield state
     t_final = setup.t_final
     steps = 0
     while state.t < t_final:
         if steps >= cfg.max_steps:
             raise ProgressError(cfg.max_steps, state.t, t_final)
-        dt = _nominal_dt(state, setup, grid, cfg)
+        dt = _nominal_dt(state, epsilon, grid, cfg)
         remaining = t_final - state.t
         last = dt >= remaining * (1.0 - 1e-12)
         # the last step lands exactly on t_final instead of accumulating rounding
         dt, t_new = (remaining, t_final) if last else (dt, state.t + dt)
-        state = _advance(state, setup, grid, dt, t_new)
+        state = _advance(state, setup, grid, epsilon, dt, t_new)
         steps += 1
         if last or steps % stride == 0:
-            yield state, audit_record(state, grid, setup)
+            yield state
 
 
 def integrate(
@@ -320,13 +371,13 @@ def integrate(
     cfg: SolverConfig,
     rec: Optional[TrajectoryRecorder] = None,
 ) -> TrajectoryRecorder:
-    """Run the stepping loop (_trajectory) to t_final, recording every
-    rec.stride steps plus the final state and running the far-field monitor
-    on each record.  t_final = 0 yields a recorder holding only the initial
-    state."""
+    """Run the stepping loop (_trajectory) to t_final, recording and
+    auditing every rec.stride steps plus the final state and running the
+    far-field monitor on each record.  t_final = 0 yields a recorder holding
+    only the initial state."""
     if rec is None:
         rec = TrajectoryRecorder(stride=1)
-    for state, diag in _trajectory(setup, grid, cfg, rec.stride):
-        rec.add(state, diag)
+    for state in _trajectory(setup, grid, cfg, rec.stride):
+        rec.add(state, audit_record(state, grid, setup))
         rec.far_field_ok = rec.far_field_ok and _far_field_contact(state, setup)
     return rec

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chemoflux import stepping
 from chemoflux.convergence import (
     ConvergenceReport,
     LadderError,
@@ -19,7 +20,14 @@ from chemoflux.convergence import (
 )
 from chemoflux.diagnostics import DiagnosticsRecord
 from chemoflux.model import Family, Grid1D, InitialProfile, Kind, ProblemSetup
-from chemoflux.stepping import ProgressError, SolverConfig, TrajectoryRecorder, integrate
+from chemoflux.stepping import (
+    DivergenceError,
+    PositivityLossError,
+    ProgressError,
+    SolverConfig,
+    TrajectoryRecorder,
+    integrate,
+)
 
 
 def cosine_setup(epsilon=0.05, t_final=0.5, **kw):
@@ -161,6 +169,87 @@ def test_ladder_failure_names_the_epsilon():
     assert info.value.eps == 0.0  # the shared baseline runs first
     assert isinstance(info.value.cause, ProgressError)
     assert "epsilon = 0" in str(info.value)
+
+
+EPS3 = (0.1, 0.05, 0.025)
+
+
+def spoiled_ladder(monkeypatch, faults):
+    """Run a ladder whose kernel output is spoiled: faults maps a step number
+    (1-based) to [(row, node, field, value)] written into that step's stack."""
+    kernel = stepping.coupled_imex_step
+    calls = []
+
+    def spoiled(u, v, *args, **kw):
+        un, vn = kernel(u, v, *args, **kw)
+        calls.append(None)
+        for row, node, name, value in faults.get(len(calls), ()):
+            (un if name == "u" else vn)[row, node] = value
+        return un, vn
+
+    monkeypatch.setattr(stepping, "coupled_imex_step", spoiled)
+    setup = cosine_setup(t_final=0.05)
+    with pytest.raises(LadderError) as info:
+        run_ladder(setup, Grid1D(0.0, 1.0, 64), SolverConfig(dt=0.001), EPS3, stride=4)
+    return info.value
+
+
+@pytest.mark.parametrize(
+    "faults, eps, index, t",
+    [
+        # row r loses positivity at node j: LadderError(eps_r), the node kept
+        ({3: [(0, 17, "v", -0.5)]}, 0.0, 17, 0.003),
+        ({3: [(1, 17, "v", -0.5)]}, 0.1, 17, 0.003),
+        ({3: [(3, 17, "v", -0.5)]}, 0.025, 17, 0.003),
+        # a non-finite row diverges
+        ({5: [(2, 30, "u", np.nan)]}, 0.05, None, 0.005),
+        # rung 3 fails a step before rung 1
+        ({2: [(3, 9, "v", -1.0)], 3: [(1, 9, "v", -1.0)]}, 0.025, 9, 0.002),
+        # rows failing on the same step: the lower row is named, baseline first
+        ({2: [(3, 9, "v", -1.0), (2, 40, "u", np.inf)]}, 0.05, None, 0.002),
+        ({4: [(1, 9, "v", -1.0), (0, 40, "v", -1.0)]}, 0.0, 40, 0.004),
+    ],
+)
+def test_ladder_names_the_member_that_fails_first(monkeypatch, faults, eps, index, t):
+    err = spoiled_ladder(monkeypatch, faults)
+    assert err.eps == eps
+    if index is None:
+        assert isinstance(err.cause, DivergenceError)
+    else:
+        assert isinstance(err.cause, PositivityLossError)
+        assert err.cause.index == index
+    assert err.cause.t == pytest.approx(t, rel=1e-12)
+
+
+def count_rfft(monkeypatch):
+    calls = []
+    rfft = np.fft.rfft
+
+    def counted(*args, **kw):
+        calls.append(None)
+        return rfft(*args, **kw)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rungs", [3, 6])
+def test_wall_ladder_makes_one_transform_per_field_per_step(monkeypatch, rungs):
+    # the v stack and the viscous u rows: two transforms a step for any ladder
+    dt, steps = 1e-3, 30
+    setup = cosine_setup(t_final=(steps - 0.5) * dt)
+    eps = tuple(0.1 / 2**i for i in range(rungs))
+    calls = count_rfft(monkeypatch)
+    run_ladder(setup, Grid1D(0.0, 1.0, 64), SolverConfig(dt=dt), eps, stride=7)
+    assert len(calls) == 2 * steps
+
+
+def test_limit_run_makes_one_transform_per_step(monkeypatch):
+    dt, steps = 1e-3, 30
+    calls = count_rfft(monkeypatch)
+    setup = cosine_setup(epsilon=0.0, t_final=(steps - 0.5) * dt)
+    integrate(setup, Grid1D(0.0, 1.0, 64), SolverConfig(dt=dt))
+    assert len(calls) == steps
 
 
 def sequential_ladder(setup, grid, cfg, eps_ladder, stride):

@@ -118,6 +118,23 @@ def test_state_validation():
         State(np.zeros(9), np.ones(9), -0.1)
 
 
+def test_state_stack_names_the_first_failing_row():
+    State(np.zeros((3, 9)), np.ones((3, 9)), 0.0)
+    with pytest.raises(ValueError):
+        State(np.zeros((3, 9)), np.ones((2, 9)), 0.0)
+    with pytest.raises(ValueError):
+        State(np.zeros((2, 3, 9)), np.ones((2, 3, 9)), 0.0)
+    v = np.ones((3, 9))
+    v[2, 1] = -1.0
+    v[1, 4] = 0.0
+    with pytest.raises(ValueError, match=r"v\[1, 4\]"):
+        State(np.zeros((3, 9)), v, 0.0)
+    u = np.zeros((3, 9))
+    u[0, 5] = np.inf
+    with pytest.raises(ValueError, match="non-finite entries in row 0"):
+        State(u, v, 0.0)
+
+
 def test_setup_validation_and_floor_default():
     setup = cosine_setup()
     assert setup.alpha_floor == pytest.approx(0.7, abs=1e-15)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from chemoflux.diagnostics import trapezoid
+from chemoflux.diagnostics import positivity_floor_check, trapezoid
 from chemoflux.model import Family, Grid1D, InitialProfile, Kind, ProblemSetup, State, make_initial
 from chemoflux.stepping import (
     DivergenceError,
@@ -12,6 +12,7 @@ from chemoflux.stepping import (
     TrajectoryRecorder,
     _diffuse,
     _laplacian_symbol,
+    coupled_imex_step,
     integrate,
     step,
 )
@@ -113,11 +114,76 @@ def test_diffusion_symbol_cache_is_keyed_by_size_only():
     misses = _laplacian_symbol.cache_info().misses
     for lam in np.geomspace(1e-4, 1e3, 100):
         _diffuse(rhs, float(lam), True)
+    # and a stack of 100 rows, each with its own lam
+    _diffuse(np.tile(rhs, (100, 1)), np.geomspace(1e-4, 1e3, 100)[:, None], True)
     info = _laplacian_symbol.cache_info()
     assert info.currsize <= info.maxsize
     assert info.misses - misses <= 1
     assert _laplacian_symbol(129) is _laplacian_symbol(129)
     assert _laplacian_symbol(129)[0] == 0.0
+
+
+@pytest.mark.parametrize("neumann", [True, False])
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("n", [9, 256, 257, 1025])
+def test_stacked_diffusion_rows_are_bitwise_the_single_solves(n, k, neumann):
+    rng = np.random.default_rng(1000 * n + k)
+    rhs = 1.0 + rng.uniform(-0.5, 0.5, (k, n))
+    lam = rng.uniform(1e-3, 1e2, (k, 1))
+    x = _diffuse(rhs, lam, neumann)
+    assert x.shape == (k, n)
+    for i in range(k):
+        assert np.array_equal(x[i], _diffuse(rhs[i], float(lam[i, 0]), neumann))
+    # one float lam for the whole stack
+    x = _diffuse(rhs, 0.5, neumann)
+    for i in range(k):
+        assert np.array_equal(x[i], _diffuse(rhs[i], 0.5, neumann))
+
+
+def random_stack(kind, k, n, seed):
+    """k distinct admissible rows: u pinned at the ends, v > 0 (and at the far
+    field on the line)."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-0.3, 0.3, (k, n))
+    v = 1.0 + rng.uniform(-0.3, 0.3, (k, n))
+    u[:, 0] = u[:, -1] = 0.0
+    if kind is Kind.CAUCHY_TRUNCATED:
+        v[:, 0] = v[:, -1] = 1.0
+    return u, v
+
+
+@pytest.mark.parametrize("kind", [Kind.IBVP, Kind.CAUCHY_TRUNCATED])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_stacked_step_rows_are_bitwise_the_single_steps(kind, k):
+    n = 257
+    u, v = random_stack(kind, k, n, seed=k)
+    eps = np.array([0.0, 0.1, 0.05, 0.025, 0.0125][:k])[:, None]
+    dt, dx = 1e-3, 1.0 / (n - 1)
+    ibvp = kind is Kind.IBVP
+    un, vn = coupled_imex_step(u, v, dt, dx, eps, ibvp=ibvp, v_inf=1.0)
+    assert un.shape == vn.shape == (k, n)
+    for i in range(k):
+        u1, v1 = coupled_imex_step(u[i], v[i], dt, dx, float(eps[i, 0]), ibvp=ibvp, v_inf=1.0)
+        assert np.array_equal(un[i], u1) and np.array_equal(vn[i], v1)
+
+
+@pytest.mark.parametrize("kind", [Kind.IBVP, Kind.CAUCHY_TRUNCATED])
+def test_stack_of_rest_states_is_a_bitwise_fixed_point(kind):
+    n = 129
+    eps = np.array([0.0, 0.0, 0.1, 0.05])[:, None]
+    u, v = np.zeros((4, n)), np.ones((4, n))
+    for _ in range(10):
+        u, v = coupled_imex_step(u, v, 0.01, 1.0 / (n - 1), eps, ibvp=kind is Kind.IBVP, v_inf=1.0)
+    assert np.all(u == 0.0) and np.all(v == 1.0)
+
+
+def test_stacked_wall_u_stays_exactly_zero_on_every_row():
+    n = 129
+    u, v = random_stack(Kind.IBVP, 4, n, seed=3)
+    eps = np.array([0.0, 0.1, 0.05, 0.025])[:, None]
+    for _ in range(20):
+        u, v = coupled_imex_step(u, v, 1e-3, 1.0 / (n - 1), eps, ibvp=True, v_inf=1.0)
+        assert np.all(u[:, 0] == 0.0) and np.all(u[:, -1] == 0.0)
 
 
 # --------------------------------------------------------- rest-state exactness
@@ -318,3 +384,27 @@ def test_progress_error_when_max_steps_exhausted():
     assert info.value.t == pytest.approx(3e-5, rel=1e-9)
     assert "3" in str(info.value)
     assert issubclass(ProgressError, RuntimeError)
+
+
+# ------------------------------------------------------------ long-time decay
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.05])
+@pytest.mark.parametrize("n, stride", [(128, 1), (512, 25)])
+def test_large_wall_data_decay_to_rest_with_monotone_entropy(n, stride, epsilon):
+    # a large cosine pair at the largest admissible cfl, run to t = 10
+    grid = Grid1D(0.0, 1.0, n)
+    setup = ProblemSetup(
+        kind=Kind.IBVP,
+        epsilon=epsilon,
+        t_final=10.0,
+        initial_data=InitialProfile(family=Family.COSINE_PAIR, amplitude_u=0.9, amplitude_v=0.9),
+    )
+    rec = integrate(setup, grid, SolverConfig(cfl=1.0), TrajectoryRecorder(stride=stride))
+    entropy = [d.entropy_total for d in rec.diagnostics]
+    assert all(b <= a for a, b in zip(entropy, entropy[1:]))
+    final = rec.states[-1]
+    assert final.t == 10.0
+    assert np.max(np.abs(final.u)) <= 1e-4
+    assert np.max(np.abs(final.v - setup.v_infinity)) <= 1e-4
+    assert positivity_floor_check(rec.diagnostics, setup.alpha_floor).passed
