@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord, audit_record
-from .model import FieldError, Grid1D, Kind, ProblemSetup, State, make_initial
+from .model import FieldError, Grid1D, Kind, ProblemSetup, make_initial
 from .stepping import ProgressError, SolverConfig, TrajectoryRecorder, integrate
 from .stepping import _check_stride, _far_field_contact, _nominal_dt, _RowFailure, _trajectory
 
@@ -110,11 +110,18 @@ def fit_slope(points: Sequence) -> tuple:
 def energy_functional(diags: Sequence[DiagnosticsRecord]) -> float:
     """sup-in-t of the squared H2 norms plus the time-integrated dissipation —
     the quantity whose boundedness should be uniform across the ladder."""
-    sup_h2 = max(d.h2_u + d.h2_v for d in diags)
-    times = np.array([d.t for d in diags])
-    diss = np.array([d.dissipation_u + d.dissipation_v for d in diags])
+    return _energy(
+        np.array([d.t for d in diags]),
+        np.array([d.h2_u + d.h2_v for d in diags]),
+        np.array([d.dissipation_u + d.dissipation_v for d in diags]),
+    )
+
+
+def _energy(times: np.ndarray, h2: np.ndarray, diss: np.ndarray) -> float:
+    """energy_functional of one run from its contiguous 1-d series over the
+    records: t, h2_u + h2_v and dissipation_u + dissipation_v."""
     integrated = float(np.sum(0.5 * (diss[1:] + diss[:-1]) * (times[1:] - times[:-1])))
-    return float(sup_h2 + integrated)
+    return float(np.max(h2)) + integrated
 
 
 def check_ladder(eps_ladder: Sequence[float]) -> tuple:
@@ -163,22 +170,32 @@ def run_ladder(
     far_field_ok = True
     err_u = np.zeros(len(eps))
     err_v = np.zeros(len(eps))
-    diags = [[] for _ in members]
+    # per record: t, and (k + 1,) rows of h2_u + h2_v and of the dissipation
+    times, h2, diss = [], [], []
     try:
         for stack in _trajectory(setup_template, grid, cfg_run, stride, column):
-            states = [State(u, v, stack.t) for u, v in zip(stack.u, stack.v)]
-            for d, s, state in zip(diags, members, states):
-                d.append(audit_record(state, grid, s))
+            d = audit_record(stack, grid, setup_template, column)
+            times.append(d.t)
+            h2.append(d.h2_u + d.h2_v)
+            diss.append(d.dissipation_u + d.dissipation_v)
             err_u = np.maximum(err_u, np.max(np.abs(stack.u[1:] - stack.u[0]), axis=-1))
             err_v = np.maximum(err_v, np.max(np.abs(stack.v[1:] - stack.v[0]), axis=-1))
-            far_field_ok = far_field_ok and _far_field_contact(states[0], setup_template)
+            far_field_ok = far_field_ok and _far_field_contact(
+                stack.u[0], stack.v[0], setup_template
+            )
     except _RowFailure as exc:
         raise LadderError(members[exc.row].epsilon, exc.cause) from exc.cause
     except ProgressError as exc:
         raise LadderError(0.0, exc) from exc
+    # each member's series made contiguous, so its energy rounds as
+    # energy_functional of that member's own run does
+    times = np.array(times)
+    energies = [
+        _energy(times, h, q) for h, q in zip(np.array(h2).T.copy(), np.array(diss).T.copy())
+    ]
     rows = [
-        RungError(eps=e, err_u=eu, err_v=ev, err_sum=eu + ev, energy=energy_functional(d))
-        for e, eu, ev, d in zip(eps, err_u.tolist(), err_v.tolist(), diags[1:])
+        RungError(eps=e, err_u=eu, err_v=ev, err_sum=eu + ev, energy=en)
+        for e, eu, ev, en in zip(eps, err_u.tolist(), err_v.tolist(), energies[1:])
     ]
 
     slope, intercept, max_res = fit_slope([(r.eps, r.err_sum) for r in rows])
@@ -201,8 +218,8 @@ def run_ladder(
         baseline_meta={
             "epsilon": 0.0,
             "t_final": setup_template.t_final,
-            "n_records": len(diags[0]),
-            "energy": energy_functional(diags[0]),
+            "n_records": len(times),
+            "energy": energies[0],
             "far_field_ok": far_field_ok,
             "description": "limit-system run with identical initial data, grid, and dt",
         },

@@ -6,6 +6,10 @@ difference and second derivatives reuse the first interior three-point
 stencil one-sidedly (kept rather than dropped, so integral norms see every
 node; reports carry a note to that effect).  Quadrature is trapezoidal
 throughout, matching the vertex-centered grids.
+
+Quadrature, stencils and audit_record work along the last axis: a 1-d row
+of n nodes, or a stack of such rows (a ladder's (k, n) stack, or several
+fields at once), each row coming out bitwise as its own call would.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import Grid1D, ProblemSetup, State, entropy_pair
+from .model import Grid1D, ProblemSetup, State, _entropy_density, entropy_pair
 
 __all__ = [
     "DiagnosticsRecord",
@@ -39,7 +43,8 @@ H2_BOUNDARY_STENCIL_NOTE = (
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
-    """Scalar health indicators of one recorded state.
+    """Scalar health indicators of one recorded state; for a (k, n) stack,
+    every field but t is a (k,) array, one entry per row.
 
     h2_u / h2_v are the *squared* discrete H2 norms of u and v - v_inf.
     sup_abs_ux feeds the running max M of the positivity floor alpha*exp(-M t).
@@ -91,33 +96,38 @@ class FloorReport:
     running_max_ux: float
 
 
-def trapezoid(values: np.ndarray, dx: float) -> float:
-    """Trapezoidal quadrature over the full grid (deterministic summation)."""
+def trapezoid(values: np.ndarray, dx: float):
+    """Trapezoidal quadrature over the full grid along the last axis
+    (deterministic summation): a float for one row, an array for a stack,
+    each entry bitwise the row's own sum."""
     v = np.asarray(values, dtype=float)
-    return float(dx * (0.5 * v[0] + v[1:-1].sum() + 0.5 * v[-1]))
+    total = dx * (0.5 * v[..., 0] + v[..., 1:-1].sum(axis=-1) + 0.5 * v[..., -1])
+    return float(total) if v.ndim == 1 else total
 
 
 def _ddx(f: np.ndarray, dx: float) -> np.ndarray:
     g = np.empty_like(f)
-    g[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
-    g[0] = (f[1] - f[0]) / dx
-    g[-1] = (f[-1] - f[-2]) / dx
+    g[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * dx)
+    g[..., 0] = (f[..., 1] - f[..., 0]) / dx
+    g[..., -1] = (f[..., -1] - f[..., -2]) / dx
     return g
 
 
 def _d2dx(f: np.ndarray, dx: float) -> np.ndarray:
     g = np.empty_like(f)
     dx2 = dx * dx
-    g[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / dx2
-    g[0] = (f[0] - 2.0 * f[1] + f[2]) / dx2
-    g[-1] = (f[-1] - 2.0 * f[-2] + f[-3]) / dx2
+    g[..., 1:-1] = (f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]) / dx2
+    g[..., 0] = (f[..., 0] - 2.0 * f[..., 1] + f[..., 2]) / dx2
+    g[..., -1] = (f[..., -1] - 2.0 * f[..., -2] + f[..., -3]) / dx2
     return g
 
 
-def _h2_squared(f: np.ndarray, dx: float) -> float:
-    fx = _ddx(f, dx)
-    fxx = _d2dx(f, dx)
-    return trapezoid(f * f + fx * fx + fxx * fxx, dx)
+def _h2_integrand(f: np.ndarray, fx: np.ndarray, fxx: np.ndarray) -> np.ndarray:
+    return f * f + fx * fx + fxx * fxx
+
+
+def _h2_squared(f: np.ndarray, dx: float):
+    return trapezoid(_h2_integrand(f, _ddx(f, dx), _d2dx(f, dx)), dx)
 
 
 def norms(state: State, grid: Grid1D, v_inf: float) -> NormBundle:
@@ -140,31 +150,61 @@ def norms(state: State, grid: Grid1D, v_inf: float) -> NormBundle:
     )
 
 
-def audit_record(state: State, grid: Grid1D, setup: ProblemSetup) -> DiagnosticsRecord:
+def audit_record(
+    state: State, grid: Grid1D, setup: ProblemSetup, epsilon=None
+) -> DiagnosticsRecord:
     """All monitors of one state in one pass.
 
-    entropy_total is the trapezoid sum of entropy_pair(...).eta (same code
-    path as a direct recomputation, so the two agree bit-for-bit).
+    With epsilon None the state is one row at setup.epsilon and every field
+    is a float.  A (k, 1) epsilon column audits a (k, n) stack, row i at
+    epsilon[i]; every field but t is then a (k,) array whose entry i is
+    bitwise the 1-d audit of row i.  Each derivative is taken once, and the
+    seven integrals are one trapezoid call.
+
+    entropy_total is the trapezoid sum of entropy_pair(...).eta: both take
+    eta from model._entropy_density, so the two agree bit-for-bit.
     """
     if np.any(state.v <= 0.0):
-        i = int(np.argmin(state.v))
-        raise ValueError(f"audit on non-positive v: v[{i}] = {state.v[i]}")
+        at = np.unravel_index(int(np.argmin(state.v)), state.v.shape)
+        raise ValueError(
+            f"audit on non-positive v: v[{', '.join(map(str, at))}] = {state.v[at]}"
+        )
     dx = grid.dx
     u, v = state.u, state.v
-    eta = entropy_pair(u, v, setup.v_infinity, setup.epsilon).eta
-    ux = _ddx(u, dx)
-    vx = _ddx(v, dx)
+    fields = np.stack((u, v, v - setup.v_infinity))
+    ux, vx, gx = _ddx(fields, dx)
+    uxx, gxx = _d2dx(fields[::2], dx)
+    g = fields[2]
+    integrands = np.stack(
+        (
+            _entropy_density(u, v, setup.v_infinity)[0],
+            vx * vx / v,
+            ux * ux,
+            u,
+            g,
+            _h2_integrand(u, ux, uxx),
+            _h2_integrand(g, gx, gxx),
+        )
+    )
+    totals = trapezoid(integrands, dx)
+    min_v, sup_abs_ux = v.min(axis=-1), np.max(np.abs(ux), axis=-1)
+    if epsilon is None:
+        eps = setup.epsilon
+        totals, min_v, sup_abs_ux = totals.tolist(), float(min_v), float(sup_abs_ux)
+    else:
+        eps = epsilon[:, 0]
+    entropy, diss_v, ux2_total, mass_u, mass_v_excess, h2_u, h2_v = totals
     return DiagnosticsRecord(
         t=float(state.t),
-        entropy_total=trapezoid(eta, dx),
-        dissipation_v=trapezoid(vx * vx / v, dx),
-        dissipation_u=setup.epsilon * trapezoid(ux * ux, dx),
-        mass_u=trapezoid(u, dx),
-        mass_v_excess=trapezoid(v - setup.v_infinity, dx),
-        min_v=float(v.min()),
-        sup_abs_ux=float(np.max(np.abs(ux))),
-        h2_u=_h2_squared(u, dx),
-        h2_v=_h2_squared(v - setup.v_infinity, dx),
+        entropy_total=entropy,
+        dissipation_v=diss_v,
+        dissipation_u=eps * ux2_total,
+        mass_u=mass_u,
+        mass_v_excess=mass_v_excess,
+        min_v=min_v,
+        sup_abs_ux=sup_abs_ux,
+        h2_u=h2_u,
+        h2_v=h2_v,
     )
 
 
@@ -214,10 +254,13 @@ def positivity_floor_check(
 
     M(t) is the running max of sup_abs_ux over the records seen so far (and
     is therefore stride-dependent).  Pass dx = 0 for the strict floor.
-    Failure is reported, never raised.
+    Failure is reported, never raised; records out of time order raise
+    ValueError.
     """
     recs = list(records)
-    assert all(b.t >= a.t for a, b in zip(recs, recs[1:])), "records must be ordered in t"
+    for a, b in zip(recs, recs[1:]):
+        if b.t < a.t:
+            raise ValueError(f"records must be ordered in t: t = {b.t!r} follows t = {a.t!r}")
     tol = 10.0 * dx * dx
     running = 0.0
     worst_margin = math.inf

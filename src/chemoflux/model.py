@@ -228,13 +228,19 @@ def entropy_pair(u, v, v_inf: float, epsilon: float) -> EntropyValue:
     v_arr = np.asarray(v, dtype=float)
     if np.any(v_arr <= 0.0):
         raise ValueError(f"v must be strictly positive, got {np.min(v_arr)}")
-    w = (v_arr - v_inf) / v_inf
-    log_ratio = np.log1p(w)
-    eta = 0.5 * u_arr * u_arr + v_inf * ((1.0 + w) * log_ratio - w)
+    eta, log_ratio = _entropy_density(u_arr, v_arr, v_inf)
     q = -u_arr * v_arr * log_ratio + (2.0 / 3.0) * epsilon * u_arr**3
     if np.ndim(u) == 0 and np.ndim(v) == 0:
         return EntropyValue(float(eta), float(q))
     return EntropyValue(eta, q)
+
+
+def _entropy_density(u: np.ndarray, v: np.ndarray, v_inf: float):
+    """entropy_pair's eta on float arrays of any equal shape, unchecked, and
+    log(v/v_inf) as log1p(w), which the flux reuses."""
+    w = (v - v_inf) / v_inf
+    log_ratio = np.log1p(w)
+    return 0.5 * u * u + v_inf * ((1.0 + w) * log_ratio - w), log_ratio
 
 
 def _one_sided_ddx(f: np.ndarray, dx: float, left: bool) -> float:

@@ -317,16 +317,16 @@ def step(state: State, setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig) -> 
     return _advance(state, setup, grid, setup.epsilon, dt, state.t + dt)
 
 
-def _far_field_contact(state: State, setup: ProblemSetup) -> bool:
-    """Whether a truncated-line state is at the far field (0, v_inf) in the
-    outer 10% of the domain; always True between walls."""
+def _far_field_contact(u: np.ndarray, v: np.ndarray, setup: ProblemSetup) -> bool:
+    """Whether the 1-d fields of a truncated-line state are at the far field
+    (0, v_inf) in the outer 10% of the domain; always True between walls."""
     if setup.kind is Kind.IBVP:
         return True
-    edge = max(1, state.u.shape[0] // 10)
+    edge = max(1, u.shape[0] // 10)
     for sl in (slice(0, edge), slice(-edge, None)):
-        if np.max(np.abs(state.u[sl])) > FAR_FIELD_TOL:
+        if np.max(np.abs(u[sl])) > FAR_FIELD_TOL:
             return False
-        if np.max(np.abs(state.v[sl] - setup.v_infinity)) > FAR_FIELD_TOL:
+        if np.max(np.abs(v[sl] - setup.v_infinity)) > FAR_FIELD_TOL:
             return False
     return True
 
@@ -379,5 +379,5 @@ def integrate(
         rec = TrajectoryRecorder(stride=1)
     for state in _trajectory(setup, grid, cfg, rec.stride):
         rec.add(state, audit_record(state, grid, setup))
-        rec.far_field_ok = rec.far_field_ok and _far_field_contact(state, setup)
+        rec.far_field_ok = rec.far_field_ok and _far_field_contact(state.u, state.v, setup)
     return rec

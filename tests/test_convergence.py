@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chemoflux import stepping
+from chemoflux import convergence, model, stepping
 from chemoflux.convergence import (
     ConvergenceReport,
     LadderError,
@@ -292,6 +292,58 @@ def test_lockstep_ladder_is_bitwise_the_sequential_ladder(kind, stride):
     assert report.baseline_meta["energy"] == energy_functional(base.diagnostics)
     assert report.baseline_meta["far_field_ok"] is base.far_field_ok is True
     assert report.grid_meta["stride"] == stride
+
+
+@pytest.mark.parametrize("kind", [Kind.IBVP, Kind.CAUCHY_TRUNCATED])
+def test_stride_one_ladder_energies_are_bitwise_the_member_runs(kind):
+    # 142 records: each energy's time integral sums past numpy's 128-element
+    # pairwise block, into its recursive split.  On the line, a wide bump run
+    # to t = 7 makes that integral comparable to sup h2, so a sum taken in
+    # another order shows in the energies' last bits
+    if kind is Kind.IBVP:
+        grid, dt, profile = Grid1D(0.0, 1.0, 64), 0.002, InitialProfile(Family.COSINE_PAIR)
+    else:
+        grid, dt = Grid1D(-20.0, 20.0, 128), 0.05
+        profile = InitialProfile(Family.GAUSSIAN_BUMP, width=3.0)
+    setup = ProblemSetup(kind=kind, epsilon=0.05, t_final=140.5 * dt, initial_data=profile)
+    cfg = SolverConfig(dt=dt)
+    report = run_ladder(setup, grid, cfg, EPS3, stride=1)
+    rows, base = sequential_ladder(setup, grid, cfg, EPS3, 1)
+    assert report.baseline_meta["n_records"] == len(base.records) == 142
+    assert [r.energy for r in report.errors] == [r.energy for r in rows]
+    assert report.errors == rows
+    assert report.baseline_meta["energy"] == energy_functional(base.diagnostics)
+
+
+def test_ladder_audits_each_record_once_and_builds_no_member_states(monkeypatch):
+    audits, states = [], []
+    audit = convergence.audit_record
+    post_init = model.State.__post_init__
+
+    def counted_audit(state, *args, **kw):
+        audits.append(state.u.shape)
+        return audit(state, *args, **kw)
+
+    def counted_post_init(self):
+        states.append(None)
+        post_init(self)
+
+    monkeypatch.setattr(convergence, "audit_record", counted_audit)
+    monkeypatch.setattr(model.State, "__post_init__", counted_post_init)
+    grid, dt, steps = Grid1D(0.0, 1.0, 64), 1e-3, 30
+    setup = cosine_setup(t_final=(steps - 0.5) * dt)
+    built = {}
+    for rungs in (3, 6):
+        audits.clear()
+        states.clear()
+        eps = tuple(0.1 / 2**i for i in range(rungs))
+        report = run_ladder(setup, grid, SolverConfig(dt=dt), eps, stride=7)
+        # records at t = 0, steps 7, 14, 21, 28 and the final step 30
+        assert report.baseline_meta["n_records"] == 6
+        assert audits == [(rungs + 1, grid.n_nodes)] * 6
+        built[rungs] = len(states)
+    # one State per step of the whole stack, whatever the number of members
+    assert built[3] == built[6]
 
 
 def test_ladder_memory_does_not_grow_with_the_record_count():

@@ -1,5 +1,6 @@
 """Norms, entropy audit, entropy residual, and the positivity floor monitor."""
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -60,6 +61,22 @@ def test_trapezoid_exact_on_linears():
     assert trapezoid(np.ones(grid.n_nodes), grid.dx) == 1.0
     assert trapezoid(grid.x, grid.dx) == pytest.approx(0.5, abs=1e-15)
     assert trapezoid(3.0 * grid.x - 1.0, grid.dx) == pytest.approx(0.5, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [9, 65, 257, 2049])
+def test_stacked_trapezoid_rows_are_bitwise_the_row_calls(n):
+    # 7, 63, 255 and 2047 interior nodes: numpy's pairwise sum takes its
+    # short loop, its unrolled block and its recursive split
+    rng = np.random.default_rng(n)
+    stack = rng.standard_normal((7, 3, n)) * np.exp(rng.uniform(-8.0, 8.0, (7, 3, n)))
+    dx = 1.0 / (n - 1)
+    totals = trapezoid(stack, dx)
+    assert totals.shape == (7, 3)
+    for idx in np.ndindex(7, 3):
+        row = trapezoid(stack[idx], dx)
+        assert type(row) is float
+        assert totals[idx] == row
+    assert np.array_equal(trapezoid(stack[:, 0], dx), totals[:, 0])
 
 
 # ----------------------------------------------------------------------- norms
@@ -201,6 +218,58 @@ def test_audit_rejects_nonpositive_v():
         audit_record(state, grid, cosine_setup())
 
 
+def smooth_stack(grid, k, v_inf, seed):
+    """k distinct admissible rows: smooth bumps plus node-level noise."""
+    rng = np.random.default_rng(seed)
+    xi = (grid.x - grid.x_left) / (grid.x_right - grid.x_left)
+    a = rng.uniform(-2.0, 2.0, (k, 1))
+    b = rng.uniform(-0.6, 0.6, (k, 1))
+    noise = 1e-3 * rng.standard_normal((2, k, grid.n_nodes))
+    u = a * np.sin(np.pi * xi) * np.exp(-xi) + noise[0]
+    v = v_inf * (1.0 + b * np.cos(3.0 * np.pi * xi) + noise[1])
+    return u, v
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("kind", [Kind.IBVP, Kind.CAUCHY_TRUNCATED])
+def test_stacked_audit_rows_are_bitwise_the_1d_audits(kind, k):
+    if kind is Kind.IBVP:
+        grid, setup = Grid1D(0.0, 1.0, 256), cosine_setup(epsilon=0.05)
+    else:
+        grid = Grid1D(-20.0, 20.0, 300)
+        setup = ProblemSetup(
+            kind=kind,
+            epsilon=0.05,
+            t_final=1.0,
+            initial_data=InitialProfile(family=Family.GAUSSIAN_BUMP),
+            v_infinity=2.5,
+        )
+    column = np.array([0.0, 0.1, 0.05, 0.025, 0.0125][:k])[:, None]
+    u, v = smooth_stack(grid, k, setup.v_infinity, seed=k)
+    rec = audit_record(State(u, v, 0.375), grid, setup, column)
+    assert type(rec.t) is float and rec.t == 0.375
+    for i in range(k):
+        row = audit_record(
+            State(u[i], v[i], 0.375), grid, replace(setup, epsilon=float(column[i, 0]))
+        )
+        for f in fields(DiagnosticsRecord):
+            stacked = getattr(rec, f.name)
+            if f.name != "t":
+                assert stacked.shape == (k,)
+                stacked = stacked[i]
+            assert stacked == getattr(row, f.name), f.name
+            assert type(getattr(row, f.name)) is float
+
+
+def test_stacked_audit_names_the_row_and_node_of_nonpositive_v():
+    grid = Grid1D(0.0, 1.0, 64)
+    u, v = smooth_stack(grid, 3, 1.0, seed=3)
+    state = State(u, v, 0.0)
+    state.v[2, 9] = -1.0  # corrupt after construction to hit the audit guard
+    with pytest.raises(ValueError, match=r"v\[2, 9\]"):
+        audit_record(state, grid, cosine_setup(), np.array([[0.0], [0.1], [0.05]]))
+
+
 # ------------------------------------------------------------ entropy residual
 
 
@@ -295,6 +364,15 @@ def test_floor_failure_reported_not_raised():
     # the same records clear the floor once the dx^2 consistency slack applies
     relaxed = positivity_floor_check(recs, alpha=1.0, dx=math.sqrt(0.005))
     assert relaxed.passed
+
+
+def test_floor_rejects_unordered_records():
+    # a ValueError, not an assert, so the check also holds under python -O
+    recs = [synthetic_record(t) for t in (0.0, 0.5, 0.25, 0.1)]
+    with pytest.raises(ValueError, match=r"t = 0\.25 follows t = 0\.5"):
+        positivity_floor_check(recs, alpha=1.0)
+    equal_times = [synthetic_record(0.0), synthetic_record(0.0)]
+    assert positivity_floor_check(equal_times, alpha=1.0).passed
 
 
 def test_floor_on_rest_trajectory_margin_is_exactly_the_slack():
