@@ -39,7 +39,8 @@ from .ksbridge import (
     residual_vs_conservation_form,
 )
 from .model import FieldError, Family, Grid1D, InitialProfile, Kind, ProblemSetup, make_initial
-from .stepping import SolverConfig, TrajectoryRecorder, _nominal_dt, integrate, step
+from .stepping import SolverConfig, TrajectoryRecorder, step
+from .stepping import _audited_trajectory, _far_field_contact, _nominal_dt
 
 __all__ = [
     "ConfigError",
@@ -365,8 +366,11 @@ def _say(quiet: bool, msg: str):
 
 def _cmd_run(cfg: RunConfig, out: str, quiet: bool) -> int:
     setup, grid, solver = build_setup(cfg), build_grid(cfg), build_solver(cfg)
-    rec = integrate(setup, grid, solver, TrajectoryRecorder(stride=cfg.stride))
-    final, diags = rec.records[-1][0], rec.diagnostics
+    # keep the audits and the last State only, not the trajectory
+    diags, far_field_ok = [], True
+    for final, d in _audited_trajectory(setup, grid, solver, cfg.stride):
+        diags.append(d)
+        far_field_ok = far_field_ok and _far_field_contact(final.u, final.v, setup)
     emit_state_csv(final, grid, os.path.join(out, "state_final.csv"))
     emit_diagnostics_csv(diags, os.path.join(out, "diagnostics.csv"))
     _say(
@@ -375,7 +379,7 @@ def _cmd_run(cfg: RunConfig, out: str, quiet: bool) -> int:
         f"mass_u drift={diags[-1].mass_u - diags[0].mass_u:.3e} "
         f"mass_v drift={diags[-1].mass_v_excess - diags[0].mass_v_excess:.3e} "
         f"entropy {diags[0].entropy_total:.6g} -> {diags[-1].entropy_total:.6g}"
-        + ("" if setup.kind is Kind.IBVP else f" far_field_ok={rec.far_field_ok}"),
+        + ("" if setup.kind is Kind.IBVP else f" far_field_ok={far_field_ok}"),
     )
     return 0
 
@@ -420,17 +424,18 @@ def _cmd_converge(cfg: RunConfig, out: str, quiet: bool, eps_override) -> int:
 
 def _cmd_entropy_check(cfg: RunConfig, out: str, quiet: bool) -> int:
     setup, grid, solver = build_setup(cfg), build_grid(cfg), build_solver(cfg)
-    rec = integrate(setup, grid, solver, TrajectoryRecorder(stride=cfg.stride))
-    final = rec.records[-1][0]
+    diags = []
+    for final, d in _audited_trajectory(setup, grid, solver, cfg.stride):
+        diags.append(d)
     # two extra fixed-dt steps give an exactly spaced triple for the residual
     dt = _nominal_dt(final, setup.epsilon, grid, solver)
     cfg_fixed = SolverConfig(dt=dt, max_steps=solver.max_steps)
     s1 = step(final, setup, grid, cfg_fixed)
     s2 = step(s1, setup, grid, cfg_fixed)
     res = entropy_residual(final, s1, s2, grid, setup)
-    ok_entropy, worst_gap = entropy_monotonicity_check(rec.diagnostics, grid.dx)
-    floor = positivity_floor_check(rec.diagnostics, setup.alpha_floor, grid.dx)
-    emit_diagnostics_csv(rec.diagnostics, os.path.join(out, "diagnostics.csv"))
+    ok_entropy, worst_gap = entropy_monotonicity_check(diags, grid.dx)
+    floor = positivity_floor_check(diags, setup.alpha_floor, grid.dx)
+    emit_diagnostics_csv(diags, os.path.join(out, "diagnostics.csv"))
     emit_report_json(
         {
             "residual_l2": res.l2,

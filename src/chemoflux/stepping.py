@@ -89,11 +89,12 @@ class DivergenceError(RuntimeError):
 
 
 class ProgressError(RuntimeError):
-    def __init__(self, max_steps: int, t: float, t_final: float):
+    """The stepping loop cannot reach t_final: max_steps ran out, or a step
+    would leave t unchanged (t + dt == t).  t is where it stopped."""
+
+    def __init__(self, t: float, message: str):
         self.t = float(t)
-        super().__init__(
-            f"max_steps = {max_steps} exhausted at t = {t:.6g} before t_final = {t_final:.6g}"
-        )
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -339,8 +340,9 @@ def _trajectory(setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, stride: in
     epsilon column (k, 1), zero rows first, steps k copies of the initial
     data as one (k, n) stack, row i at epsilon[i], and yields stacked States.
     Stepper failures propagate with the failing time attached (from a stack,
-    as a _RowFailure naming the row); running out of max_steps raises
-    ProgressError.
+    as a _RowFailure naming the row).  Running out of max_steps, or a step
+    whose dt is too small to move t (t + dt == t), raises ProgressError
+    before that step is taken.
     """
     state = make_initial(setup, grid)
     if epsilon is None:
@@ -353,16 +355,33 @@ def _trajectory(setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, stride: in
     steps = 0
     while state.t < t_final:
         if steps >= cfg.max_steps:
-            raise ProgressError(cfg.max_steps, state.t, t_final)
+            raise ProgressError(
+                state.t,
+                f"max_steps = {cfg.max_steps} exhausted at t = {state.t:.6g} "
+                f"before t_final = {t_final:.6g}",
+            )
         dt = _nominal_dt(state, epsilon, grid, cfg)
         remaining = t_final - state.t
         last = dt >= remaining * (1.0 - 1e-12)
         # the last step lands exactly on t_final instead of accumulating rounding
         dt, t_new = (remaining, t_final) if last else (dt, state.t + dt)
+        if not t_new > state.t:
+            raise ProgressError(
+                state.t, f"a step of dt = {dt:.6g} does not advance t = {state.t!r}"
+            )
         state = _advance(state, setup, grid, epsilon, dt, t_new)
         steps += 1
         if last or steps % stride == 0:
             yield state
+
+
+def _audited_trajectory(setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, stride: int):
+    """The run of setup.epsilon (_trajectory on 1-d arrays), yielding each
+    record's State with its audit_record.  Holds no State but the current
+    one, so a caller that keeps only the audits runs in memory that does not
+    grow with the record count."""
+    for state in _trajectory(setup, grid, cfg, stride):
+        yield state, audit_record(state, grid, setup)
 
 
 def integrate(
@@ -371,13 +390,16 @@ def integrate(
     cfg: SolverConfig,
     rec: Optional[TrajectoryRecorder] = None,
 ) -> TrajectoryRecorder:
-    """Run the stepping loop (_trajectory) to t_final, recording and
-    auditing every rec.stride steps plus the final state and running the
-    far-field monitor on each record.  t_final = 0 yields a recorder holding
-    only the initial state."""
+    """Run the stepping loop to t_final, recording and auditing every
+    rec.stride steps plus the final state (_audited_trajectory) and running
+    the far-field monitor on each record.  t_final = 0 yields a recorder
+    holding only the initial state.
+
+    The recorder keeps every recorded State: records x 2n x 8 bytes.  A step
+    that cannot move t raises ProgressError (see _trajectory)."""
     if rec is None:
         rec = TrajectoryRecorder(stride=1)
-    for state in _trajectory(setup, grid, cfg, rec.stride):
-        rec.add(state, audit_record(state, grid, setup))
+    for state, diag in _audited_trajectory(setup, grid, cfg, rec.stride):
+        rec.add(state, diag)
         rec.far_field_ok = rec.far_field_ok and _far_field_contact(state.u, state.v, setup)
     return rec

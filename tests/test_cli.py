@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -368,6 +369,16 @@ def test_exit_3_when_the_run_cannot_finish(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "effective_config.cfg"))
 
 
+@pytest.mark.parametrize("command", ["run", "entropy-check"])
+def test_exit_3_at_a_step_that_cannot_move_t(tmp_path, capsys, stall_after_first_step, command):
+    cfg_path = write(tmp_path, "run.cfg", TINY_RUN)
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "run failure" in err and "does not advance t" in err
+    # at the first stalled step, before the next record
+    assert len(stall_after_first_step) == 2
+
+
 def test_exit_4_when_convergence_threshold_fails(tmp_path, monkeypatch, capsys):
     rows = tuple(
         RungError(eps=e, err_u=1e-3, err_v=1e-3, err_sum=2e-3, energy=5.0)
@@ -467,6 +478,82 @@ def test_entropy_check_through_cli(tmp_path):
     assert payload["residual_l2"] < 1.0
     assert payload["residual_time"] > 0.02  # measured just past the horizon
     assert os.path.exists(os.path.join(out, "diagnostics.csv"))
+
+
+SINGLE_RUNS = {
+    "walls": ("kind = ibvp\nepsilon = 0.05\nn_cells = 64\n", 0.02),
+    "line, far field reached": (
+        "kind = cauchy\nepsilon = 0.05\nx_left = -6\nx_right = 6\nn_cells = 128\n",
+        2.0,
+    ),
+    "line, limit system": ("kind = cauchy\nepsilon = 0\nn_cells = 256\n", 0.5),
+}
+
+
+@pytest.mark.parametrize("zero_time", [False, True], ids=["t_final", "t_final=0"])
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("name", sorted(SINGLE_RUNS))
+def test_single_run_commands_match_integrate(tmp_path, monkeypatch, capsys, name, stride, zero_time):
+    body, t_final = SINGLE_RUNS[name]
+    text = body + f"t_final = {0.0 if zero_time else t_final}\nstride = {stride}\n"
+    cfg = parse_config(text)
+    setup = cli.build_setup(cfg)
+    rec = integrate(setup, cli.build_grid(cfg), cli.build_solver(cfg), TrajectoryRecorder(stride))
+    assert (len(rec.records) == 1) == zero_time
+
+    seen = {}
+
+    def spy(attr, key):
+        real = getattr(cli, attr)
+
+        def wrapper(*args, **kw):
+            seen[key] = args[0]
+            return real(*args, **kw)
+
+        monkeypatch.setattr(cli, attr, wrapper)
+
+    spy("emit_diagnostics_csv", "diags")
+    spy("emit_state_csv", "final")  # run's final state
+    spy("entropy_residual", "final")  # entropy-check's final state
+    final = rec.states[-1]
+    path = write(tmp_path, "run.cfg", text)
+    for command in ("run", "entropy-check"):
+        seen.clear()
+        assert main([command, "--config", path, "--out", str(tmp_path / command)]) == 0
+        assert seen["diags"] == rec.diagnostics
+        assert seen["final"].t == final.t
+        assert seen["final"].u.tobytes() == final.u.tobytes()
+        assert seen["final"].v.tobytes() == final.v.tobytes()
+        summary = capsys.readouterr().out
+        if command == "run" and setup.kind is Kind.CAUCHY_TRUNCATED:
+            assert f"far_field_ok={rec.far_field_ok}" in summary
+    if name == "line, far field reached" and not zero_time:
+        assert rec.far_field_ok is False
+
+
+def test_entropy_check_memory_does_not_grow_with_the_record_count(tmp_path):
+    n_cells = 1024
+
+    def entropy_check(steps):
+        text = (
+            f"kind = ibvp\nepsilon = 0.05\nn_cells = {n_cells}\ndt = 1e-4\nstride = 1\n"
+            f"t_final = {(steps - 0.5) * 1e-4!r}\n"
+        )
+        path = write(tmp_path, f"steps{steps}.cfg", text)
+        assert main(["entropy-check", "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            entropy_check(steps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    entropy_check(3)  # warm the lazy imports and caches outside the measurement
+    short, long = peak(123), peak(245)
+    # fewer bytes per extra record than one recorded state holds
+    assert (long - short) / (245 - 123) < 16 * (n_cells + 1)
 
 
 def test_self_converge_through_cli(tmp_path):

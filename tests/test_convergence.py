@@ -171,6 +171,19 @@ def test_ladder_failure_names_the_epsilon():
     assert "epsilon = 0" in str(info.value)
 
 
+def test_ladder_fails_at_a_step_that_cannot_move_t(stall_after_first_step):
+    grid = Grid1D(0.0, 1.0, 64)
+    with pytest.raises(LadderError) as info:
+        run_ladder(
+            cosine_setup(t_final=0.5), grid, SolverConfig(max_steps=5000), (0.1, 0.05, 0.025)
+        )
+    assert info.value.eps == 0.0
+    assert isinstance(info.value.cause, ProgressError)
+    assert "does not advance t" in str(info.value.cause)
+    # at the first stalled step, not after spinning to max_steps
+    assert len(stall_after_first_step) == 2
+
+
 EPS3 = (0.1, 0.05, 0.025)
 
 

@@ -386,6 +386,17 @@ def test_progress_error_when_max_steps_exhausted():
     assert issubclass(ProgressError, RuntimeError)
 
 
+def test_a_step_that_cannot_move_t_raises_progress_error(stall_after_first_step):
+    grid = Grid1D(0.0, 1.0, 64)
+    setup = cosine_setup(epsilon=0.05, t_final=0.5)
+    with pytest.raises(ProgressError, match="does not advance t") as info:
+        integrate(setup, grid, SolverConfig(dt=1e-3))
+    # raised before the first stalled step is taken, not at max_steps
+    assert stall_after_first_step == [0.0, 1e-3]
+    assert info.value.t == 1e-3
+    assert "dt = 1e-30" in str(info.value) and "t = 0.001" in str(info.value)
+
+
 # ------------------------------------------------------------ long-time decay
 
 
