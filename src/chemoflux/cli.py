@@ -39,8 +39,8 @@ from .ksbridge import (
     residual_vs_conservation_form,
 )
 from .model import FieldError, Family, Grid1D, InitialProfile, Kind, ProblemSetup, make_initial
-from .stepping import SolverConfig, TrajectoryRecorder, step
-from .stepping import _audited_trajectory, _far_field_contact, _nominal_dt
+from .stepping import SolverConfig, run, step
+from .stepping import _check_stride, _nominal_dt
 
 __all__ = [
     "ConfigError",
@@ -214,7 +214,7 @@ def parse_config(text) -> RunConfig:
     grid = _build(lambda: build_grid(cfg), lines)
     setup = _build(lambda: build_setup(cfg), lines)
     solver = _build(lambda: build_solver(cfg), lines)
-    _build(lambda: TrajectoryRecorder(stride=cfg.stride), lines)
+    _build(lambda: _check_stride(cfg.stride), lines)
     _build(lambda: make_initial(setup, grid), lines)
     _build(lambda: check_ladder(cfg.eps_ladder), lines)
     _build(lambda: KSParams(cfg.ks_d, cfg.ks_chi, cfg.ks_alpha, cfg.ks_epsilon), lines, _KS_KEYS)
@@ -367,10 +367,10 @@ def _say(quiet: bool, msg: str):
 def _cmd_run(cfg: RunConfig, out: str, quiet: bool) -> int:
     setup, grid, solver = build_setup(cfg), build_grid(cfg), build_solver(cfg)
     # keep the audits and the last State only, not the trajectory
-    diags, far_field_ok = [], True
-    for final, d in _audited_trajectory(setup, grid, solver, cfg.stride):
+    diags = []
+    for final, d in run(setup, grid, solver, cfg.stride):
         diags.append(d)
-        far_field_ok = far_field_ok and _far_field_contact(final.u, final.v, setup)
+    far_field_ok = all(d.far_field_ok for d in diags)
     emit_state_csv(final, grid, os.path.join(out, "state_final.csv"))
     emit_diagnostics_csv(diags, os.path.join(out, "diagnostics.csv"))
     _say(
@@ -425,8 +425,9 @@ def _cmd_converge(cfg: RunConfig, out: str, quiet: bool, eps_override) -> int:
 def _cmd_entropy_check(cfg: RunConfig, out: str, quiet: bool) -> int:
     setup, grid, solver = build_setup(cfg), build_grid(cfg), build_solver(cfg)
     diags = []
-    for final, d in _audited_trajectory(setup, grid, solver, cfg.stride):
+    for final, d in run(setup, grid, solver, cfg.stride):
         diags.append(d)
+    far_field_ok = all(d.far_field_ok for d in diags)
     # two extra fixed-dt steps give an exactly spaced triple for the residual
     dt = _nominal_dt(final, setup.epsilon, grid, solver)
     cfg_fixed = SolverConfig(dt=dt, max_steps=solver.max_steps)
@@ -447,6 +448,7 @@ def _cmd_entropy_check(cfg: RunConfig, out: str, quiet: bool) -> int:
             "floor_worst_margin": floor.worst_margin,
             "floor_worst_time": floor.worst_time,
             "floor_running_max_ux": floor.running_max_ux,
+            "far_field_ok": far_field_ok,
             "norms_note": H2_BOUNDARY_STENCIL_NOTE,
         },
         os.path.join(out, "entropy_check.json"),
@@ -454,7 +456,8 @@ def _cmd_entropy_check(cfg: RunConfig, out: str, quiet: bool) -> int:
     _say(
         quiet,
         f"entropy-check: residual_l2={res.l2:.3e} nonincreasing={ok_entropy} "
-        f"floor_passed={floor.passed} (margin {floor.worst_margin:.3e})",
+        f"floor_passed={floor.passed} (margin {floor.worst_margin:.3e})"
+        + ("" if setup.kind is Kind.IBVP else f" far_field_ok={far_field_ok}"),
     )
     return 0
 
@@ -521,7 +524,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
-        ("run", "integrate one configuration and emit state + diagnostics CSVs"),
+        ("run", "step one configuration to t_final and emit state + diagnostics CSVs"),
         ("converge", "run the viscosity ladder and fit the convergence slope"),
         ("entropy-check", "audit entropy balance, dissipation, and the positivity floor"),
         ("self-converge", "grid-refinement study at fixed physics"),

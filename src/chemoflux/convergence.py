@@ -22,10 +22,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord, audit_record
+from .diagnostics import DiagnosticsRecord
 from .model import FieldError, Grid1D, Kind, ProblemSetup, make_initial
-from .stepping import ProgressError, SolverConfig
-from .stepping import _check_stride, _far_field_contact, _nominal_dt, _RowFailure, _trajectory
+from .stepping import ProgressError, SolverConfig, run
+from .stepping import _nominal_dt, _RowFailure, _trajectory
 
 __all__ = [
     "RungError",
@@ -152,7 +152,7 @@ def run_ladder(
     eps_ladder: Sequence[float],
     stride: int = 10,
 ) -> ConvergenceReport:
-    """Integrate the epsilon ladder against the shared epsilon = 0 baseline.
+    """Step the epsilon ladder against the shared epsilon = 0 baseline.
 
     Identical initial data, grid, and (fixed) dt for every member, all
     stepped together as the rows of one stack (see the module docstring).
@@ -162,30 +162,24 @@ def run_ladder(
     attributed to the baseline.
     """
     eps = check_ladder(eps_ladder)
-    _check_stride(stride)
-
     dt, policy = _resolve_shared_dt(setup_template, grid, cfg, max(eps))
     cfg_run = replace(cfg, dt=dt, cfl=None)
-    members = [replace(setup_template, epsilon=e) for e in (0.0, *eps)]
-    column = np.array([s.epsilon for s in members])[:, None]
+    column = np.array((0.0, *eps))[:, None]
     far_field_ok = True
     err_u = np.zeros(len(eps))
     err_v = np.zeros(len(eps))
     # per record: t, and (k + 1,) rows of h2_u + h2_v and of the dissipation
     times, h2, diss = [], [], []
     try:
-        for stack in _trajectory(setup_template, grid, cfg_run, stride, column):
-            d = audit_record(stack, grid, setup_template, column)
+        for stack, d in run(setup_template, grid, cfg_run, stride, column):
             times.append(d.t)
             h2.append(d.h2_u + d.h2_v)
             diss.append(d.dissipation_u + d.dissipation_v)
             err_u = np.maximum(err_u, np.max(np.abs(stack.u[1:] - stack.u[0]), axis=-1))
             err_v = np.maximum(err_v, np.max(np.abs(stack.v[1:] - stack.v[0]), axis=-1))
-            far_field_ok = far_field_ok and _far_field_contact(
-                stack.u[0], stack.v[0], setup_template
-            )
+            far_field_ok = far_field_ok and bool(d.far_field_ok[0])
     except _RowFailure as exc:
-        raise LadderError(members[exc.row].epsilon, exc.cause) from exc.cause
+        raise LadderError(column[exc.row, 0], exc.cause) from exc.cause
     except ProgressError as exc:
         raise LadderError(0.0, exc) from exc
     # each member's series made contiguous, so its energy rounds as
@@ -229,7 +223,7 @@ def run_ladder(
 
 
 def self_convergence(setup: ProblemSetup, grids: Sequence[Grid1D], cfg: SolverConfig):
-    """Richardson-style guard: integrate on successive factor-2 refinements
+    """Richardson-style guard: run on successive factor-2 refinements
     and compare final states on the shared (coarse) nodes.
 
     dt is resolved once on the coarsest grid and refined by 4 per spatial

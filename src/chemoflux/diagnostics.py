@@ -1,4 +1,4 @@
-"""Discrete norms, entropy audit, conservation and positivity monitors.
+"""Entropy audit, conservation, positivity and far-field monitors.
 
 Stencils: centered first/second differences at interior nodes; at the two
 boundary nodes, first derivatives fall back to the adjacent two-point
@@ -15,19 +15,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .model import Grid1D, ProblemSetup, State, _entropy_density, entropy_pair
+from .model import Grid1D, Kind, ProblemSetup, State, _entropy_density, entropy_pair
 
 __all__ = [
+    "FAR_FIELD_TOL",
     "DiagnosticsRecord",
     "EntropyResidualField",
-    "NormBundle",
     "FloorReport",
     "trapezoid",
-    "norms",
     "audit_record",
     "entropy_residual",
     "positivity_floor_check",
@@ -40,6 +39,10 @@ H2_BOUNDARY_STENCIL_NOTE = (
     "H2 norms use one-sided second differences at boundary-adjacent nodes"
 )
 
+#: how far u and v - v_inf may stray from 0 in the outer 10% of a
+#: truncated line before the far-field monitor trips
+FAR_FIELD_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
@@ -48,6 +51,9 @@ class DiagnosticsRecord:
 
     h2_u / h2_v are the *squared* discrete H2 norms of u and v - v_inf.
     sup_abs_ux feeds the running max M of the positivity floor alpha*exp(-M t).
+    far_field_ok is the truncated-line monitor: u and v - v_inf are within
+    FAR_FIELD_TOL of 0 in the outer 10% of the domain (always True between
+    walls).
     """
 
     t: float
@@ -60,18 +66,7 @@ class DiagnosticsRecord:
     sup_abs_ux: float
     h2_u: float
     h2_v: float
-
-
-@dataclass(frozen=True)
-class NormBundle:
-    l2_u: float
-    l2_v: float
-    linf_u: float
-    linf_v: float
-    h1_u: float
-    h1_v: float
-    h2_u: float  # squared
-    h2_v: float  # squared
+    far_field_ok: bool
 
 
 @dataclass(frozen=True)
@@ -126,30 +121,6 @@ def _h2_integrand(f: np.ndarray, fx: np.ndarray, fxx: np.ndarray) -> np.ndarray:
     return f * f + fx * fx + fxx * fxx
 
 
-def _h2_squared(f: np.ndarray, dx: float):
-    return trapezoid(_h2_integrand(f, _ddx(f, dx), _d2dx(f, dx)), dx)
-
-
-def norms(state: State, grid: Grid1D, v_inf: float) -> NormBundle:
-    """Discrete L2/Linf/H1 norms and squared H2 norms; v measured against v_inf."""
-    if state.u.shape[0] < 5:
-        raise ValueError("norms need at least 5 nodes for second differences")
-    dx = grid.dx
-    u = state.u
-    g = state.v - v_inf
-    ux, gx = _ddx(u, dx), _ddx(g, dx)
-    return NormBundle(
-        l2_u=math.sqrt(trapezoid(u * u, dx)),
-        l2_v=math.sqrt(trapezoid(g * g, dx)),
-        linf_u=float(np.max(np.abs(u))),
-        linf_v=float(np.max(np.abs(g))),
-        h1_u=math.sqrt(trapezoid(u * u + ux * ux, dx)),
-        h1_v=math.sqrt(trapezoid(g * g + gx * gx, dx)),
-        h2_u=_h2_squared(u, dx),
-        h2_v=_h2_squared(g, dx),
-    )
-
-
 def audit_record(
     state: State, grid: Grid1D, setup: ProblemSetup, epsilon=None
 ) -> DiagnosticsRecord:
@@ -159,7 +130,8 @@ def audit_record(
     is a float.  A (k, 1) epsilon column audits a (k, n) stack, row i at
     epsilon[i]; every field but t is then a (k,) array whose entry i is
     bitwise the 1-d audit of row i.  Each derivative is taken once, and the
-    seven integrals are one trapezoid call.
+    seven integrals are one trapezoid call; the far-field monitor reads the
+    edges of the u and v - v_inf rows.
 
     entropy_total is the trapezoid sum of entropy_pair(...).eta: both take
     eta from model._entropy_density, so the two agree bit-for-bit.
@@ -188,9 +160,16 @@ def audit_record(
     )
     totals = trapezoid(integrands, dx)
     min_v, sup_abs_ux = v.min(axis=-1), np.max(np.abs(ux), axis=-1)
+    if setup.kind is Kind.IBVP:
+        far_field_ok = np.full(min_v.shape, True)
+    else:
+        edge = max(1, u.shape[-1] // 10)
+        rims = np.concatenate((fields[::2, ..., :edge], fields[::2, ..., -edge:]), axis=-1)
+        far_field_ok = np.max(np.abs(rims), axis=(0, -1)) <= FAR_FIELD_TOL
     if epsilon is None:
         eps = setup.epsilon
         totals, min_v, sup_abs_ux = totals.tolist(), float(min_v), float(sup_abs_ux)
+        far_field_ok = bool(far_field_ok)
     else:
         eps = epsilon[:, 0]
     entropy, diss_v, ux2_total, mass_u, mass_v_excess, h2_u, h2_v = totals
@@ -205,6 +184,7 @@ def audit_record(
         sup_abs_ux=sup_abs_ux,
         h2_u=h2_u,
         h2_v=h2_v,
+        far_field_ok=far_field_ok,
     )
 
 

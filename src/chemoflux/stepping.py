@@ -15,8 +15,8 @@ dt = cfl * dx / max(1, sup(|2 eps u| + 1 + |u| + sqrt(v))).
 Boundary closures:
 
   * truncated line: both fields pinned to the far-field constants (0, v_inf)
-    at the end nodes, with a runtime monitor checking that the outer 10% of
-    the domain actually stays at the far field;
+    at the end nodes, with a monitor in each audit (diagnostics.audit_record)
+    checking that the outer 10% of the domain actually stays at the far field;
   * unit interval: u = 0 at both walls (Dirichlet pinning); v gets a
     mirror ghost (v_{-1} = v_1, u_{-1} = -u_1), under which the advective
     divergence at the wall collapses to -(u_1 v_1)/dx and the implicit rows
@@ -48,27 +48,23 @@ compared), keeping temporal error below the second-order spatial error.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord, audit_record
+from .diagnostics import audit_record
 from .model import FieldError, Grid1D, Kind, ProblemSetup, State, _first_fault, make_initial
 
 __all__ = [
-    "FAR_FIELD_TOL",
     "SolverConfig",
-    "TrajectoryRecorder",
     "PositivityLossError",
     "DivergenceError",
     "ProgressError",
     "step",
-    "integrate",
+    "run",
     "coupled_imex_step",
 ]
-
-FAR_FIELD_TOL = 1e-8
 
 
 class PositivityLossError(RuntimeError):
@@ -124,40 +120,6 @@ class SolverConfig:
 def _check_stride(stride):
     if int(stride) != stride or stride < 1:
         raise FieldError("stride", f"stride must be a positive integer, got {stride}")
-
-
-@dataclass
-class TrajectoryRecorder:
-    """Collects (State, DiagnosticsRecord) pairs every `stride` steps plus the
-    final state; the first record is always the initial state.  far_field_ok
-    tracks the truncated-line contact monitor (always True for wall runs)."""
-
-    stride: int = 1
-    records: list = field(default_factory=list)
-    far_field_ok: bool = True
-
-    def __post_init__(self):
-        _check_stride(self.stride)
-
-    def add(self, state: State, diag: DiagnosticsRecord):
-        if self.records and not state.t > self.records[-1][0].t:
-            raise ValueError(
-                f"record times must strictly increase "
-                f"({self.records[-1][0].t} -> {state.t})"
-            )
-        self.records.append((state, diag))
-
-    @property
-    def states(self):
-        return [s for s, _ in self.records]
-
-    @property
-    def diagnostics(self):
-        return [d for _, d in self.records]
-
-    @property
-    def times(self):
-        return [s.t for s, _ in self.records]
 
 
 def _nominal_dt(state: State, epsilon, grid: Grid1D, cfg: SolverConfig) -> float:
@@ -318,20 +280,6 @@ def step(state: State, setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig) -> 
     return _advance(state, setup, grid, setup.epsilon, dt, state.t + dt)
 
 
-def _far_field_contact(u: np.ndarray, v: np.ndarray, setup: ProblemSetup) -> bool:
-    """Whether the 1-d fields of a truncated-line state are at the far field
-    (0, v_inf) in the outer 10% of the domain; always True between walls."""
-    if setup.kind is Kind.IBVP:
-        return True
-    edge = max(1, u.shape[0] // 10)
-    for sl in (slice(0, edge), slice(-edge, None)):
-        if np.max(np.abs(u[sl])) > FAR_FIELD_TOL:
-            return False
-        if np.max(np.abs(v[sl] - setup.v_infinity)) > FAR_FIELD_TOL:
-            return False
-    return True
-
-
 def _trajectory(setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, stride: int, epsilon=None):
     """Step to t_final (last step clipped to land exactly there), yielding
     the state at t = 0, every `stride` steps and at t_final.
@@ -375,31 +323,21 @@ def _trajectory(setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, stride: in
             yield state
 
 
-def _audited_trajectory(setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, stride: int):
-    """The run of setup.epsilon (_trajectory on 1-d arrays), yielding each
-    record's State with its audit_record.  Holds no State but the current
-    one, so a caller that keeps only the audits runs in memory that does not
-    grow with the record count."""
-    for state in _trajectory(setup, grid, cfg, stride):
-        yield state, audit_record(state, grid, setup)
+def run(
+    setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, stride: int = 1, epsilon=None
+):
+    """The audited run: step to t_final as _trajectory does, yielding each
+    record's State with its audit_record, far-field monitor included.
 
-
-def integrate(
-    setup: ProblemSetup,
-    grid: Grid1D,
-    cfg: SolverConfig,
-    rec: Optional[TrajectoryRecorder] = None,
-) -> TrajectoryRecorder:
-    """Run the stepping loop to t_final, recording and auditing every
-    rec.stride steps plus the final state (_audited_trajectory) and running
-    the far-field monitor on each record.  t_final = 0 yields a recorder
-    holding only the initial state.
-
-    The recorder keeps every recorded State: records x 2n x 8 bytes.  A step
-    that cannot move t raises ProgressError (see _trajectory)."""
-    if rec is None:
-        rec = TrajectoryRecorder(stride=1)
-    for state, diag in _audited_trajectory(setup, grid, cfg, rec.stride):
-        rec.add(state, diag)
-        rec.far_field_ok = rec.far_field_ok and _far_field_contact(state.u, state.v, setup)
-    return rec
+    With epsilon None this is the run of setup.epsilon on 1-d arrays; an
+    epsilon column (k, 1) runs the (k, n) stack and audits every row.
+    stride is checked here, before any step.  The generator holds no State
+    but the current one, so memory grows with the records only if the
+    caller keeps them: list(run(...)) keeps every State, records x 2n x 8
+    bytes.  A step that cannot move t raises ProgressError (see _trajectory).
+    """
+    _check_stride(stride)
+    return (
+        (state, audit_record(state, grid, setup, epsilon))
+        for state in _trajectory(setup, grid, cfg, stride, epsilon)
+    )

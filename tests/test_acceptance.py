@@ -28,10 +28,9 @@ from chemoflux.ksbridge import (
 from chemoflux.model import Family, Grid1D, InitialProfile, Kind, ProblemSetup
 from chemoflux.stepping import (
     SolverConfig,
-    TrajectoryRecorder,
     _diffuse,
     coupled_imex_step,
-    integrate,
+    run,
     step,
 )
 
@@ -63,16 +62,16 @@ def timed(fn):
 def ibvp_run():
     grid = Grid1D(0.0, 1.0, 512)
     setup = ibvp_setup(0.05)
-    rec, elapsed = timed(lambda: integrate(setup, grid, SolverConfig(cfl=0.4)))
-    return {"rec": rec, "grid": grid, "setup": setup, "elapsed": elapsed}
+    (_, diags), elapsed = timed(lambda: zip(*run(setup, grid, SolverConfig(cfl=0.4))))
+    return {"diags": diags, "grid": grid, "setup": setup, "elapsed": elapsed}
 
 
 @pytest.fixture(scope="module")
 def cauchy_run():
     grid = Grid1D(-20.0, 20.0, 2048)
     setup = cauchy_setup(0.05)
-    rec, elapsed = timed(lambda: integrate(setup, grid, SolverConfig(cfl=0.4)))
-    return {"rec": rec, "grid": grid, "setup": setup, "elapsed": elapsed}
+    (_, diags), elapsed = timed(lambda: zip(*run(setup, grid, SolverConfig(cfl=0.4))))
+    return {"diags": diags, "grid": grid, "setup": setup, "elapsed": elapsed}
 
 
 @pytest.fixture(scope="module")
@@ -112,8 +111,8 @@ def test_criterion_01_rest_state_preserved_to_1e12_over_1000_steps():
             setup = ProblemSetup(
                 kind=kind, epsilon=eps, t_final=1.0, initial_data=profile, alpha_floor=1.0
             )
-            rec = integrate(setup, grid, SolverConfig(dt=0.001), TrajectoryRecorder(stride=10**9))
-            final = rec.records[-1][0]
+            states, _ = zip(*run(setup, grid, SolverConfig(dt=0.001), stride=10**9))
+            final = states[-1]
             drift = max(float(np.max(np.abs(final.u))), float(np.max(np.abs(final.v - 1.0))))
             worst = max(worst, drift)
     elapsed = time.perf_counter() - t0
@@ -126,10 +125,10 @@ def test_criterion_02_discrete_conservation(ibvp_run, cauchy_run):
     """Wall runs conserve the v budget to 1e-10; truncated-line runs conserve
     both budgets to 1e-8 with the far-field contact monitor clean."""
     t0 = time.perf_counter()
-    diags = ibvp_run["rec"].diagnostics
+    diags = ibvp_run["diags"]
     v_drift_ibvp = max(abs(d.mass_v_excess - diags[0].mass_v_excess) for d in diags)
 
-    cdiags = cauchy_run["rec"].diagnostics
+    cdiags = cauchy_run["diags"]
     u_drift = max(abs(d.mass_u - cdiags[0].mass_u) for d in cdiags)
     v_drift = max(abs(d.mass_v_excess - cdiags[0].mass_v_excess) for d in cdiags)
     own = time.perf_counter() - t0
@@ -142,17 +141,17 @@ def test_criterion_02_discrete_conservation(ibvp_run, cauchy_run):
     assert v_drift_ibvp <= 1e-10
     assert u_drift <= 1e-8
     assert v_drift <= 1e-8
-    assert cauchy_run["rec"].far_field_ok
+    assert all(d.far_field_ok for d in cauchy_run["diags"])
     assert total < 30.0
 
 
 def test_criterion_03_entropy_nonincreasing(ibvp_run, cauchy_run):
     """Total entropy never rises between records beyond the 10*dx^2*dt slack."""
     ok_i, worst_i = entropy_monotonicity_check(
-        ibvp_run["rec"].diagnostics, ibvp_run["grid"].dx
+        ibvp_run["diags"], ibvp_run["grid"].dx
     )
     ok_c, worst_c = entropy_monotonicity_check(
-        cauchy_run["rec"].diagnostics, cauchy_run["grid"].dx
+        cauchy_run["diags"], cauchy_run["grid"].dx
     )
     print(
         f"[criterion 03] worst entropy gap excess: walls {worst_i:.3e}, "
@@ -171,8 +170,8 @@ def test_criterion_04_entropy_residual_refines_at_second_order():
         setup = ibvp_setup(0.05, t_final=0.05)
         dt = grid.dx**2 / 16.0
         cfg = SolverConfig(dt=dt)
-        rec = integrate(setup, grid, cfg, TrajectoryRecorder(stride=10**9))
-        s0 = rec.states[-1]
+        states, _ = zip(*run(setup, grid, cfg, stride=10**9))
+        s0 = states[-1]
         s1 = step(s0, setup, grid, cfg)
         s2 = step(s1, setup, grid, cfg)
         l2s.append(entropy_residual(s0, s1, s2, grid, setup).l2)
@@ -193,7 +192,7 @@ def test_criterion_05_positivity_floor(ibvp_run, cauchy_run):
     for bundle in (ibvp_run, cauchy_run):
         reports.append(
             positivity_floor_check(
-                bundle["rec"].diagnostics, bundle["setup"].alpha_floor, bundle["grid"].dx
+                bundle["diags"], bundle["setup"].alpha_floor, bundle["grid"].dx
             )
         )
     for mk_setup, grid in (
@@ -201,8 +200,8 @@ def test_criterion_05_positivity_floor(ibvp_run, cauchy_run):
         (cauchy_setup, Grid1D(-20.0, 20.0, 2048)),
     ):
         setup = mk_setup(0.0125)
-        rec = integrate(setup, grid, SolverConfig(cfl=0.4), TrajectoryRecorder(stride=10))
-        reports.append(positivity_floor_check(rec.diagnostics, setup.alpha_floor, grid.dx))
+        _, diags = zip(*run(setup, grid, SolverConfig(cfl=0.4), stride=10))
+        reports.append(positivity_floor_check(diags, setup.alpha_floor, grid.dx))
     worst = min(r.worst_margin for r in reports)
     print(f"[criterion 05] floor margin over 4 trajectories >= {worst:.3e} (> 0): PASS")
     assert all(r.passed for r in reports)
@@ -283,7 +282,7 @@ def test_criterion_09_transform_roundtrip_and_rescaled_dual_run():
         worst_roundtrip = max(worst_roundtrip, float(np.max(np.abs(back - c) / c)))
     assert worst_roundtrip <= 1e-10
 
-    # dual route: integrate the raw coefficients, then integrate the
+    # dual route: step the raw coefficients, then step the
     # normalized coefficients on the rescaled grid, and compare
     factors = rescale_to_normalized(KSParams(2.0, 2.0, 4.0, 1.0))
     assert (factors.D_t, factors.eps_t, factors.time_factor) == (1.0, 0.5, 4.0)

@@ -21,7 +21,7 @@ from chemoflux.cli import (
 from chemoflux.convergence import ConvergenceReport, RungError
 from chemoflux.ksbridge import KSParams
 from chemoflux.model import Family, Kind
-from chemoflux.stepping import TrajectoryRecorder, integrate
+from chemoflux.stepping import run
 
 MINIMAL = "kind = ibvp\nepsilon = 0.05\nt_final = 0.5\n"
 
@@ -300,13 +300,8 @@ def test_run_end_to_end_files_and_bit_faithful_csv(tmp_path):
 
     # the 17-digit CSV must reproduce the in-process result bit for bit
     cfg = parse_config(TINY_RUN)
-    rec = integrate(
-        cli.build_setup(cfg),
-        cli.build_grid(cfg),
-        cli.build_solver(cfg),
-        TrajectoryRecorder(stride=cfg.stride),
-    )
-    final = rec.records[-1][0]
+    states, _ = zip(*run(cli.build_setup(cfg), cli.build_grid(cfg), cli.build_solver(cfg), cfg.stride))
+    final = states[-1]
     rows = [ln.split(",") for ln in state_lines[1:]]
     u_csv = np.array([float(r[1]) for r in rows])
     v_csv = np.array([float(r[2]) for r in rows])
@@ -477,6 +472,7 @@ def test_entropy_check_through_cli(tmp_path):
     assert payload["floor_passed"] is True
     assert payload["residual_l2"] < 1.0
     assert payload["residual_time"] > 0.02  # measured just past the horizon
+    assert payload["far_field_ok"] is True  # always, between walls
     assert os.path.exists(os.path.join(out, "diagnostics.csv"))
 
 
@@ -493,13 +489,14 @@ SINGLE_RUNS = {
 @pytest.mark.parametrize("zero_time", [False, True], ids=["t_final", "t_final=0"])
 @pytest.mark.parametrize("stride", [1, 3])
 @pytest.mark.parametrize("name", sorted(SINGLE_RUNS))
-def test_single_run_commands_match_integrate(tmp_path, monkeypatch, capsys, name, stride, zero_time):
+def test_single_run_commands_match_run(tmp_path, monkeypatch, capsys, name, stride, zero_time):
     body, t_final = SINGLE_RUNS[name]
     text = body + f"t_final = {0.0 if zero_time else t_final}\nstride = {stride}\n"
     cfg = parse_config(text)
     setup = cli.build_setup(cfg)
-    rec = integrate(setup, cli.build_grid(cfg), cli.build_solver(cfg), TrajectoryRecorder(stride))
-    assert (len(rec.records) == 1) == zero_time
+    states, diags = zip(*run(setup, cli.build_grid(cfg), cli.build_solver(cfg), stride))
+    far_field_ok = all(d.far_field_ok for d in diags)
+    assert (len(states) == 1) == zero_time
 
     seen = {}
 
@@ -515,20 +512,46 @@ def test_single_run_commands_match_integrate(tmp_path, monkeypatch, capsys, name
     spy("emit_diagnostics_csv", "diags")
     spy("emit_state_csv", "final")  # run's final state
     spy("entropy_residual", "final")  # entropy-check's final state
-    final = rec.states[-1]
+    final = states[-1]
     path = write(tmp_path, "run.cfg", text)
     for command in ("run", "entropy-check"):
         seen.clear()
         assert main([command, "--config", path, "--out", str(tmp_path / command)]) == 0
-        assert seen["diags"] == rec.diagnostics
+        assert seen["diags"] == list(diags)
         assert seen["final"].t == final.t
         assert seen["final"].u.tobytes() == final.u.tobytes()
         assert seen["final"].v.tobytes() == final.v.tobytes()
         summary = capsys.readouterr().out
-        if command == "run" and setup.kind is Kind.CAUCHY_TRUNCATED:
-            assert f"far_field_ok={rec.far_field_ok}" in summary
+        if setup.kind is Kind.CAUCHY_TRUNCATED:
+            assert f"far_field_ok={far_field_ok}" in summary
+        else:
+            assert "far_field_ok" not in summary
+    report = json.loads((tmp_path / "entropy-check" / "entropy_check.json").read_text())
+    assert report["far_field_ok"] is far_field_ok
     if name == "line, far field reached" and not zero_time:
-        assert rec.far_field_ok is False
+        assert far_field_ok is False
+
+
+LINE_FAR_FIELD = {
+    # the v bump diffuses into the outer tenth of [-6, 6] by t = 3
+    "far field lost": (
+        "kind = cauchy\nepsilon = 0\nt_final = 3\nx_left = -6\nx_right = 6\n"
+        "width = 0.9\nn_cells = 256\nstride = 1\n",
+        False,
+    ),
+    "default line": ("kind = cauchy\nepsilon = 0.05\nt_final = 0.5\n", True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINE_FAR_FIELD))
+def test_entropy_check_reports_far_field_contact(tmp_path, capsys, name):
+    text, expected = LINE_FAR_FIELD[name]
+    path = write(tmp_path, "line.cfg", text)
+    for command in ("run", "entropy-check"):
+        assert main([command, "--config", path, "--out", str(tmp_path / command)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith(f" far_field_ok={expected}")
+    report = json.loads((tmp_path / "entropy-check" / "entropy_check.json").read_text())
+    assert report["far_field_ok"] is expected
 
 
 def test_entropy_check_memory_does_not_grow_with_the_record_count(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chemoflux import convergence, model, stepping
+from chemoflux import model, stepping
 from chemoflux.convergence import (
     ConvergenceReport,
     LadderError,
@@ -25,8 +25,7 @@ from chemoflux.stepping import (
     PositivityLossError,
     ProgressError,
     SolverConfig,
-    TrajectoryRecorder,
-    integrate,
+    run,
 )
 
 
@@ -103,6 +102,7 @@ def mk_diag(t, h2_u, h2_v, diss_u, diss_v):
         sup_abs_ux=0.0,
         h2_u=h2_u,
         h2_v=h2_v,
+        far_field_ok=True,
     )
 
 
@@ -261,28 +261,25 @@ def test_limit_run_makes_one_transform_per_step(monkeypatch):
     dt, steps = 1e-3, 30
     calls = count_rfft(monkeypatch)
     setup = cosine_setup(epsilon=0.0, t_final=(steps - 0.5) * dt)
-    integrate(setup, Grid1D(0.0, 1.0, 64), SolverConfig(dt=dt))
+    list(run(setup, Grid1D(0.0, 1.0, 64), SolverConfig(dt=dt)))
     assert len(calls) == steps
 
 
 def sequential_ladder(setup, grid, cfg, eps_ladder, stride):
-    """The reference: integrate each member to the end in turn, keep every
-    record, then take the sup over the records of the differences."""
-
-    def run(e):
-        return integrate(replace(setup, epsilon=e), grid, cfg, TrajectoryRecorder(stride=stride))
-
-    base = run(0.0)
+    """The reference: run each member to the end in turn, keep every record,
+    then take the sup over the records of the differences.  Returns the rows
+    and the baseline's audits."""
+    base_states, base_diags = zip(*run(replace(setup, epsilon=0.0), grid, cfg, stride))
     rows = []
     for e in eps_ladder:
-        rec = run(e)
-        assert rec.times == base.times
+        states, diags = zip(*run(replace(setup, epsilon=e), grid, cfg, stride))
+        assert [s.t for s in states] == [b.t for b in base_states]
         err_u = err_v = 0.0
-        for s, b in zip(rec.states, base.states):
+        for s, b in zip(states, base_states):
             err_u = max(err_u, float(np.max(np.abs(s.u - b.u))))
             err_v = max(err_v, float(np.max(np.abs(s.v - b.v))))
-        rows.append(RungError(e, err_u, err_v, err_u + err_v, energy_functional(rec.diagnostics)))
-    return tuple(rows), base
+        rows.append(RungError(e, err_u, err_v, err_u + err_v, energy_functional(diags)))
+    return tuple(rows), base_diags
 
 
 @pytest.mark.parametrize("stride", [1, 3, 10])
@@ -301,9 +298,9 @@ def test_lockstep_ladder_is_bitwise_the_sequential_ladder(kind, stride):
     report = run_ladder(setup, grid, cfg, eps, stride=stride)
     rows, base = sequential_ladder(setup, grid, cfg, eps, stride)
     assert report.errors == rows
-    assert report.baseline_meta["n_records"] == len(base.records) == -(-47 // stride) + 1
-    assert report.baseline_meta["energy"] == energy_functional(base.diagnostics)
-    assert report.baseline_meta["far_field_ok"] is base.far_field_ok is True
+    assert report.baseline_meta["n_records"] == len(base) == -(-47 // stride) + 1
+    assert report.baseline_meta["energy"] == energy_functional(base)
+    assert report.baseline_meta["far_field_ok"] is all(d.far_field_ok for d in base) is True
     assert report.grid_meta["stride"] == stride
 
 
@@ -322,15 +319,15 @@ def test_stride_one_ladder_energies_are_bitwise_the_member_runs(kind):
     cfg = SolverConfig(dt=dt)
     report = run_ladder(setup, grid, cfg, EPS3, stride=1)
     rows, base = sequential_ladder(setup, grid, cfg, EPS3, 1)
-    assert report.baseline_meta["n_records"] == len(base.records) == 142
+    assert report.baseline_meta["n_records"] == len(base) == 142
     assert [r.energy for r in report.errors] == [r.energy for r in rows]
     assert report.errors == rows
-    assert report.baseline_meta["energy"] == energy_functional(base.diagnostics)
+    assert report.baseline_meta["energy"] == energy_functional(base)
 
 
 def test_ladder_audits_each_record_once_and_builds_no_member_states(monkeypatch):
     audits, states = [], []
-    audit = convergence.audit_record
+    audit = stepping.audit_record
     post_init = model.State.__post_init__
 
     def counted_audit(state, *args, **kw):
@@ -341,7 +338,7 @@ def test_ladder_audits_each_record_once_and_builds_no_member_states(monkeypatch)
         states.append(None)
         post_init(self)
 
-    monkeypatch.setattr(convergence, "audit_record", counted_audit)
+    monkeypatch.setattr(stepping, "audit_record", counted_audit)
     monkeypatch.setattr(model.State, "__post_init__", counted_post_init)
     grid, dt, steps = Grid1D(0.0, 1.0, 64), 1e-3, 30
     setup = cosine_setup(t_final=(steps - 0.5) * dt)
@@ -364,18 +361,18 @@ def test_ladder_memory_does_not_grow_with_the_record_count():
     cfg = SolverConfig(dt=1e-4)
     eps = (0.1, 0.05, 0.025)
 
-    def run(steps):
+    def ladder(steps):
         return run_ladder(cosine_setup(t_final=(steps - 0.5) * 1e-4), grid, cfg, eps, stride=1)
 
     def peak(steps):
         tracemalloc.start()
         try:
-            run(steps)
+            ladder(steps)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    run(3)  # warm the lazy imports and caches outside the measurement
+    ladder(3)  # warm the lazy imports and caches outside the measurement
     short, long = peak(123), peak(245)
     # fewer bytes per extra record than one recorded state holds
     assert (long - short) / (245 - 123) < 16 * grid.n_nodes

@@ -1,4 +1,4 @@
-"""Norms, entropy audit, entropy residual, and the positivity floor monitor."""
+"""Quadrature, the per-record audit, entropy residual, and the positivity floor monitor."""
 import math
 from dataclasses import fields, replace
 
@@ -12,7 +12,6 @@ from chemoflux.diagnostics import (
     entropy_monotonicity_check,
     entropy_residual,
     audit_record,
-    norms,
     positivity_floor_check,
     trapezoid,
 )
@@ -25,7 +24,7 @@ from chemoflux.model import (
     State,
     entropy_pair,
 )
-from chemoflux.stepping import SolverConfig, TrajectoryRecorder, integrate, step
+from chemoflux.stepping import SolverConfig, run, step
 
 
 def cosine_setup(epsilon=0.05, t_final=0.5, **kw):
@@ -50,6 +49,7 @@ def synthetic_record(t, entropy=0.0, min_v=1.0, sup_ux=0.0):
         sup_abs_ux=sup_ux,
         h2_u=0.0,
         h2_v=0.0,
+        far_field_ok=True,
     )
 
 
@@ -79,53 +79,17 @@ def test_stacked_trapezoid_rows_are_bitwise_the_row_calls(n):
     assert np.array_equal(trapezoid(stack[:, 0], dx), totals[:, 0])
 
 
-# ----------------------------------------------------------------------- norms
+# ---------------------------------------------------------------- audit_record
 
 
-def test_l2_of_full_period_sine_is_sqrt_half():
-    grid = Grid1D(0.0, 1.0, 256)
-    state = State(np.sin(2.0 * np.pi * grid.x), np.ones(grid.n_nodes), 0.0)
-    b = norms(state, grid, 1.0)
-    # trapezoid quadrature is spectrally accurate on a full period
-    assert b.l2_u == pytest.approx(math.sqrt(0.5), abs=1e-10)
-
-
-def test_linf_of_parabola_attained_at_midpoint_node():
-    grid = Grid1D(0.0, 1.0, 64)
-    state = State(grid.x * (1.0 - grid.x), np.ones(grid.n_nodes), 0.0)
-    assert norms(state, grid, 1.0).linf_u == 0.25
-
-
-def test_h1_h2_of_linear_field_closed_form():
+def test_h2_of_linear_field_closed_form():
     # u = x: ux = 1 at every node (boundary two-point stencils are exact on
     # linears, and all second differences vanish), so
-    #   h1_u^2 = h2_u = trapz(x^2 + 1) = 1/3 + dx^2/6 + 1
+    #   h2_u = trapz(x^2 + 1) = 1/3 + dx^2/6 + 1
     grid = Grid1D(0.0, 1.0, 64)
-    state = State(grid.x.copy(), np.ones(grid.n_nodes), 0.0)
-    b = norms(state, grid, 1.0)
-    expected_sq = 4.0 / 3.0 + grid.dx**2 / 6.0
-    assert b.h1_u == pytest.approx(math.sqrt(expected_sq), rel=1e-13)
-    assert b.h2_u == pytest.approx(expected_sq, rel=1e-13)
-
-
-def test_norms_of_rest_state_are_zero():
-    grid = Grid1D(0.0, 1.0, 32)
-    state = State(np.zeros(grid.n_nodes), np.full(grid.n_nodes, 2.5), 0.0)
-    b = norms(state, grid, 2.5)
-    assert (b.l2_u, b.l2_v, b.linf_u, b.linf_v) == (0.0, 0.0, 0.0, 0.0)
-    assert (b.h1_u, b.h1_v, b.h2_u, b.h2_v) == (0.0, 0.0, 0.0, 0.0)
-
-
-def test_norms_reject_tiny_grids():
-    # a 4-node state cannot even be built on a Grid1D (n_cells >= 8), so
-    # exercise the norms guard directly with a stub grid
-    state = State(np.zeros(4), np.ones(4), 0.0)
-
-    class Stub:
-        dx = 0.25
-
-    with pytest.raises(ValueError):
-        norms(state, Stub(), 1.0)
+    rec = audit_record(State(grid.x.copy(), np.ones(grid.n_nodes), 0.0), grid, cosine_setup())
+    assert rec.h2_u == pytest.approx(4.0 / 3.0 + grid.dx**2 / 6.0, rel=1e-13)
+    assert rec.h2_v == 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -136,27 +100,20 @@ def test_norms_reject_tiny_grids():
         st.floats(-2.0, -0.01, allow_nan=False),
     )
 )
-def test_property_norms_are_absolutely_homogeneous(c):
+def test_property_h2_is_quadratically_homogeneous(c):
     # |c| is kept away from (0, 0.01): constructing v = 1 + c*w quantizes the
     # perturbation at the scale of 1.0, which is an artifact of the test data,
-    # not of the norms
+    # not of the stencils
     grid = Grid1D(0.0, 1.0, 32)
+    setup = cosine_setup()
     u0 = 0.4 * np.sin(2.0 * np.pi * grid.x)
     w0 = 0.2 * np.cos(2.0 * np.pi * grid.x)
-    base = norms(State(u0, 1.0 + w0, 0.0), grid, 1.0)
-    scaled = norms(State(c * u0, 1.0 + c * w0, 0.0), grid, 1.0)
-    a = abs(c)
-    for name in ("l2_u", "l2_v", "linf_u", "linf_v", "h1_u", "h1_v"):
-        assert getattr(scaled, name) == pytest.approx(
-            a * getattr(base, name), rel=1e-9, abs=1e-300
-        )
+    base = audit_record(State(u0, 1.0 + w0, 0.0), grid, setup)
+    scaled = audit_record(State(c * u0, 1.0 + c * w0, 0.0), grid, setup)
     for name in ("h2_u", "h2_v"):  # squared norms scale quadratically
         assert getattr(scaled, name) == pytest.approx(
             c * c * getattr(base, name), rel=1e-9, abs=1e-300
         )
-
-
-# ---------------------------------------------------------------- audit_record
 
 
 def test_audit_masses_on_cosine_data():
@@ -258,7 +215,7 @@ def test_stacked_audit_rows_are_bitwise_the_1d_audits(kind, k):
                 assert stacked.shape == (k,)
                 stacked = stacked[i]
             assert stacked == getattr(row, f.name), f.name
-            assert type(getattr(row, f.name)) is float
+            assert type(getattr(row, f.name)) is (bool if f.name == "far_field_ok" else float)
 
 
 def test_stacked_audit_names_the_row_and_node_of_nonpositive_v():
@@ -268,6 +225,29 @@ def test_stacked_audit_names_the_row_and_node_of_nonpositive_v():
     state.v[2, 9] = -1.0  # corrupt after construction to hit the audit guard
     with pytest.raises(ValueError, match=r"v\[2, 9\]"):
         audit_record(state, grid, cosine_setup(), np.array([[0.0], [0.1], [0.05]]))
+
+
+@pytest.mark.parametrize("kind", [Kind.IBVP, Kind.CAUCHY_TRUNCATED])
+def test_far_field_monitor_reads_the_outer_tenth_of_each_row(kind):
+    # 101 nodes: the monitor reads nodes 0..9 and 91..100 of u and v - v_inf
+    if kind is Kind.IBVP:
+        grid, setup = Grid1D(0.0, 1.0, 100), cosine_setup()
+    else:
+        grid = Grid1D(-10.0, 10.0, 100)
+        setup = ProblemSetup(
+            kind=kind, epsilon=0.05, t_final=1.0, initial_data=InitialProfile(Family.GAUSSIAN_BUMP)
+        )
+    u, v = np.zeros((5, grid.n_nodes)), np.ones((5, grid.n_nodes))
+    u[0, 0], v[0, -1] = -1e-8, 1.0 + 2.0**-27  # within the tolerance of 1e-8
+    u[1, 9] = 2e-8  # inside the left rim
+    v[2, -10] = 1.0 + 2e-8  # inside the right rim
+    u[3, 10] = v[3, -11] = 2.0  # one node past each rim
+    v[4, 50] = 1e-3  # far from v_inf mid-domain only
+    expected = [True, False, False, True, True] if kind is Kind.CAUCHY_TRUNCATED else [True] * 5
+    rec = audit_record(State(u, v, 0.0), grid, setup, np.zeros((5, 1)))
+    assert rec.far_field_ok.tolist() == expected
+    for i in range(5):
+        assert audit_record(State(u[i], v[i], 0.0), grid, setup).far_field_ok is expected[i]
 
 
 # ------------------------------------------------------------ entropy residual
@@ -321,8 +301,8 @@ def test_entropy_residual_refines_at_second_order():
         grid = Grid1D(0.0, 1.0, n_cells)
         dt = grid.dx**2 / 16.0
         cfg = SolverConfig(dt=dt)
-        rec = integrate(setup, grid, cfg, TrajectoryRecorder(stride=10**9))
-        s0 = rec.states[-1]
+        states, _ = zip(*run(setup, grid, cfg, stride=10**9))
+        s0 = states[-1]
         s1 = step(s0, setup, grid, cfg)
         s2 = step(s1, setup, grid, cfg)
         field = entropy_residual(s0, s1, s2, grid, setup)
@@ -385,8 +365,8 @@ def test_floor_on_rest_trajectory_margin_is_exactly_the_slack():
     setup = ProblemSetup(
         kind=Kind.IBVP, epsilon=0.05, t_final=0.05, initial_data=profile, alpha_floor=1.0
     )
-    rec = integrate(setup, grid, SolverConfig(dt=0.01))
-    report = positivity_floor_check(rec.diagnostics, alpha=setup.alpha_floor, dx=grid.dx)
+    _, diags = zip(*run(setup, grid, SolverConfig(dt=0.01)))
+    report = positivity_floor_check(diags, alpha=setup.alpha_floor, dx=grid.dx)
     assert report.passed
     assert report.running_max_ux == 0.0
     assert report.worst_margin == pytest.approx(10.0 * grid.dx**2, rel=1e-12)
@@ -395,8 +375,8 @@ def test_floor_on_rest_trajectory_margin_is_exactly_the_slack():
 def test_floor_on_cosine_run_worst_margin_at_t0():
     grid = Grid1D(0.0, 1.0, 64)
     setup = cosine_setup(epsilon=0.05, t_final=0.05)
-    rec = integrate(setup, grid, SolverConfig(cfl=0.4))
-    report = positivity_floor_check(rec.diagnostics, alpha=setup.alpha_floor, dx=grid.dx)
+    _, diags = zip(*run(setup, grid, SolverConfig(cfl=0.4)))
+    report = positivity_floor_check(diags, alpha=setup.alpha_floor, dx=grid.dx)
     assert report.passed
     # alpha equals min v0, so at t = 0 the margin is exactly the slack
     assert report.worst_time == 0.0
@@ -423,9 +403,9 @@ def test_monotonicity_check_synthetic():
 def test_monotonicity_on_short_viscous_run():
     grid = Grid1D(0.0, 1.0, 64)
     setup = cosine_setup(epsilon=0.05, t_final=0.05)
-    rec = integrate(setup, grid, SolverConfig(cfl=0.4))
-    ok, worst = entropy_monotonicity_check(rec.diagnostics, grid.dx)
+    _, diags = zip(*run(setup, grid, SolverConfig(cfl=0.4)))
+    ok, worst = entropy_monotonicity_check(diags, grid.dx)
     assert ok
     assert worst <= 0.0
-    entropies = [d.entropy_total for d in rec.diagnostics]
+    entropies = [d.entropy_total for d in diags]
     assert entropies[-1] < entropies[0]

@@ -1,5 +1,5 @@
 """The package namespace re-exports exactly the submodules' public names,
-and a run loads nothing beyond numpy."""
+a run loads nothing beyond numpy, and the README's API example runs."""
 import os
 import pathlib
 import subprocess
@@ -36,3 +36,14 @@ def test_run_imports_no_optional_dependency(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_readme_python_api_example_runs():
+    """The README's "Python API" code block runs as written."""
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    section = readme.read_text().split("## Python API", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, f"{readme}:Python API", "exec"), namespace)
+    assert namespace["ok"] and namespace["floor"].passed
+    assert 0.7 <= namespace["report"].fitted_slope

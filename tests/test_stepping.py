@@ -9,11 +9,10 @@ from chemoflux.stepping import (
     PositivityLossError,
     ProgressError,
     SolverConfig,
-    TrajectoryRecorder,
     _diffuse,
     _laplacian_symbol,
     coupled_imex_step,
-    integrate,
+    run,
     step,
 )
 from chemoflux.tridiag import TridiagonalSystem, solve_tridiagonal
@@ -64,12 +63,11 @@ def test_solver_config_dt_cfl_exclusive_and_defaults():
         SolverConfig(max_steps=0)
 
 
-def test_recorder_validation():
-    with pytest.raises(ValueError):
-        TrajectoryRecorder(stride=0)
-    rec = TrajectoryRecorder(stride=2)
-    assert rec.far_field_ok is True
-    assert rec.records == []
+def test_run_checks_stride_before_stepping():
+    # raised by the call itself, before anything iterates the run
+    for stride in (0, 1.5):
+        with pytest.raises(ValueError, match="stride"):
+            run(cosine_setup(), Grid1D(0.0, 1.0, 64), SolverConfig(dt=0.01), stride)
 
 
 # ------------------------------------------------------ implicit diffusion solve
@@ -263,49 +261,49 @@ def test_limit_system_u_mass_is_conserved_on_truncated_line():
     assert abs(trapezoid(state.v - 1.0, grid.dx) - mass_v0) <= 1e-8
 
 
-# ------------------------------------------------------------------- integrate
+# ------------------------------------------------------------------------- run
 
 
-def test_integrate_t_final_zero_records_only_initial():
+def test_run_t_final_zero_records_only_initial():
     grid = Grid1D(0.0, 1.0, 64)
     setup = cosine_setup(t_final=0.0)
-    rec = integrate(setup, grid, SolverConfig(dt=0.01))
-    assert len(rec.records) == 1
-    assert rec.times == [0.0]
+    states, diags = zip(*run(setup, grid, SolverConfig(dt=0.01)))
+    assert len(states) == len(diags) == 1
+    assert [s.t for s in states] == [0.0]
 
 
-def test_integrate_lands_exactly_on_t_final():
+def test_run_lands_exactly_on_t_final():
     grid = Grid1D(0.0, 1.0, 64)
     setup = cosine_setup(epsilon=0.05, t_final=0.1)
-    rec = integrate(setup, grid, SolverConfig(dt=0.004))
-    assert rec.times[-1] == 0.1
+    states, _ = zip(*run(setup, grid, SolverConfig(dt=0.004)))
+    assert states[-1].t == 0.1
 
 
-def test_integrate_stride_record_count():
+def test_run_stride_record_count():
     grid = Grid1D(0.0, 1.0, 64)
     setup = cosine_setup(epsilon=0.05, t_final=0.1)
-    rec = integrate(setup, grid, SolverConfig(dt=0.004), TrajectoryRecorder(stride=4))
+    states, diags = zip(*run(setup, grid, SolverConfig(dt=0.004), stride=4))
     # 25 steps: initial + steps 4,8,12,16,20,24 + final step 25
-    assert len(rec.records) == 8
-    times = np.asarray(rec.times)
+    assert len(states) == 8
+    times = np.asarray([s.t for s in states])
     assert times[0] == 0.0 and times[-1] == 0.1
     assert np.all(np.diff(times) > 0)
-    assert len(rec.states) == len(rec.diagnostics) == 8
+    assert len(states) == len(diags) == 8
 
 
-def test_integrate_is_deterministic():
+def test_run_is_deterministic():
     grid = Grid1D(0.0, 1.0, 64)
     setup = cosine_setup(epsilon=0.05, t_final=0.05)
-    a = integrate(setup, grid, SolverConfig(cfl=0.4))
-    b = integrate(setup, grid, SolverConfig(cfl=0.4))
-    assert a.states[-1].u.tobytes() == b.states[-1].u.tobytes()
-    assert a.states[-1].v.tobytes() == b.states[-1].v.tobytes()
+    a, _ = zip(*run(setup, grid, SolverConfig(cfl=0.4)))
+    b, _ = zip(*run(setup, grid, SolverConfig(cfl=0.4)))
+    assert a[-1].u.tobytes() == b[-1].u.tobytes()
+    assert a[-1].v.tobytes() == b[-1].v.tobytes()
 
 
 def test_far_field_monitor_passes_for_compact_data():
     grid = Grid1D(-20.0, 20.0, 256)
-    rec = integrate(gaussian_setup(t_final=0.05), grid, SolverConfig(cfl=0.4))
-    assert rec.far_field_ok is True
+    _, diags = zip(*run(gaussian_setup(t_final=0.05), grid, SolverConfig(cfl=0.4)))
+    assert all(d.far_field_ok for d in diags) is True
 
 
 def test_far_field_monitor_detects_boundary_contact():
@@ -324,8 +322,8 @@ def test_far_field_monitor_detects_boundary_contact():
         initial_data=profile,
         alpha_floor=0.5,
     )
-    rec = integrate(setup, grid, SolverConfig(cfl=0.4), TrajectoryRecorder(stride=10))
-    assert rec.far_field_ok is False
+    _, diags = zip(*run(setup, grid, SolverConfig(cfl=0.4), stride=10))
+    assert all(d.far_field_ok for d in diags) is False
 
 
 # ------------------------------------------------------- failure classification
@@ -380,7 +378,7 @@ def test_progress_error_when_max_steps_exhausted():
     grid = Grid1D(0.0, 1.0, 64)
     setup = cosine_setup(epsilon=0.05, t_final=0.5)
     with pytest.raises(ProgressError) as info:
-        integrate(setup, grid, SolverConfig(dt=1e-5, max_steps=3))
+        list(run(setup, grid, SolverConfig(dt=1e-5, max_steps=3)))
     assert info.value.t == pytest.approx(3e-5, rel=1e-9)
     assert "3" in str(info.value)
     assert issubclass(ProgressError, RuntimeError)
@@ -390,7 +388,7 @@ def test_a_step_that_cannot_move_t_raises_progress_error(stall_after_first_step)
     grid = Grid1D(0.0, 1.0, 64)
     setup = cosine_setup(epsilon=0.05, t_final=0.5)
     with pytest.raises(ProgressError, match="does not advance t") as info:
-        integrate(setup, grid, SolverConfig(dt=1e-3))
+        list(run(setup, grid, SolverConfig(dt=1e-3)))
     # raised before the first stalled step is taken, not at max_steps
     assert stall_after_first_step == [0.0, 1e-3]
     assert info.value.t == 1e-3
@@ -411,11 +409,11 @@ def test_large_wall_data_decay_to_rest_with_monotone_entropy(n, stride, epsilon)
         t_final=10.0,
         initial_data=InitialProfile(family=Family.COSINE_PAIR, amplitude_u=0.9, amplitude_v=0.9),
     )
-    rec = integrate(setup, grid, SolverConfig(cfl=1.0), TrajectoryRecorder(stride=stride))
-    entropy = [d.entropy_total for d in rec.diagnostics]
+    states, diags = zip(*run(setup, grid, SolverConfig(cfl=1.0), stride=stride))
+    entropy = [d.entropy_total for d in diags]
     assert all(b <= a for a, b in zip(entropy, entropy[1:]))
-    final = rec.states[-1]
+    final = states[-1]
     assert final.t == 10.0
     assert np.max(np.abs(final.u)) <= 1e-4
     assert np.max(np.abs(final.v - setup.v_infinity)) <= 1e-4
-    assert positivity_floor_check(rec.diagnostics, setup.alpha_floor).passed
+    assert positivity_floor_check(diags, setup.alpha_floor).passed
