@@ -1,10 +1,12 @@
-"""Config-driven experiment runner with bit-stable CSV/JSON emission.
+"""Config-driven subcommands with bit-stable CSV/JSON emission.
 
 Config format: flat ``key = value`` lines, ``#`` comments, no nesting.
 The keys are the fields of RunConfig; kind, epsilon and t_final are required.
-Every applied default is echoed into ``effective_config.cfg`` in the output
-directory, and re-running from that file reproduces all outputs
-bit-identically (nothing here is randomized or timestamped).
+Every applied default, and a ``--eps`` ladder, is echoed into
+``effective_config.cfg`` in the output directory under a ``# chemoflux
+<command>`` comment line, and re-running that command from that file
+reproduces all outputs bit-identically (nothing here is randomized or
+timestamped).
 
 Exit codes: 0 success, 2 validation failure, 3 run failure, 4 threshold
 failure (``converge`` only).
@@ -54,8 +56,6 @@ __all__ = [
     "main",
 ]
 
-EXPERIMENTS = ("run", "converge", "entropy-check", "self-converge", "transform")
-
 DIAG_COLUMNS = (
     "t,entropy_total,dissipation_v,dissipation_u,mass_u,"
     "mass_v_excess,min_v,sup_abs_ux,h2_u,h2_v"
@@ -78,7 +78,7 @@ def _key(parse, default=dataclasses.MISSING):
 
 @dataclass(kw_only=True)
 class RunConfig:
-    """Fully resolved experiment description (all defaults applied).
+    """Fully resolved run description (all defaults applied).
 
     The fields are the config keys, in the order effective_config.cfg echoes
     them; None means unset and is not echoed.  parse_config resolves
@@ -86,7 +86,6 @@ class RunConfig:
     x_right by kind (_KIND_DEFAULTS).
     """
 
-    experiment: str = _key({e: e for e in EXPERIMENTS}, "run")
     kind: Kind = _key({k.value: k for k in Kind})
     epsilon: float = _key("float")
     v_infinity: float = _key("float", 1.0)
@@ -172,17 +171,14 @@ def _build(make, lines: dict, keys: dict = _FIELD_KEYS):
         raise ConfigError(key, lines.get(key, 0), str(exc)) from exc
 
 
-def parse_config(text) -> RunConfig:
+def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a flat key = value config.
 
-    Accepts a string or any object with .read().  Raises ConfigError naming
-    the key and line on unknown keys, type mismatches, or invariant
-    violations.
+    Raises ConfigError naming the key and line on unknown keys, type
+    mismatches, or invariant violations.
     """
-    if hasattr(text, "read"):
-        text = text.read()
     raw: dict = {}
-    for line_no, raw_line in enumerate(str(text).splitlines(), start=1):
+    for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -293,9 +289,8 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def emit_report_json(report, path: str):
-    """Serialize a report (dataclass or dict) deterministically."""
-    payload = dataclasses.asdict(report) if dataclasses.is_dataclass(report) else report
+def emit_report_json(payload: dict, path: str):
+    """Serialize a report dict deterministically."""
     with _open_out(path) as f:
         json.dump(payload, f, indent=2, sort_keys=True, default=_json_default)
         f.write("\n")
@@ -356,15 +351,11 @@ def read_ks_trajectory_csv(path: str, params: KSParams):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the resolved config and the output directory and
+# returns (exit code, summary line)
 
 
-def _say(quiet: bool, msg: str):
-    if not quiet:
-        print(msg)
-
-
-def _cmd_run(cfg: RunConfig, out: str, quiet: bool) -> int:
+def _cmd_run(cfg: RunConfig, out: str) -> tuple[int, str]:
     setup, grid, solver = build_setup(cfg), build_grid(cfg), build_solver(cfg)
     # keep the audits and the last State only, not the trajectory
     diags = []
@@ -373,15 +364,13 @@ def _cmd_run(cfg: RunConfig, out: str, quiet: bool) -> int:
     far_field_ok = all(d.far_field_ok for d in diags)
     emit_state_csv(final, grid, os.path.join(out, "state_final.csv"))
     emit_diagnostics_csv(diags, os.path.join(out, "diagnostics.csv"))
-    _say(
-        quiet,
+    return 0, (
         f"run: t={final.t:g} records={len(diags)} min_v={diags[-1].min_v:.6g} "
         f"mass_u drift={diags[-1].mass_u - diags[0].mass_u:.3e} "
         f"mass_v drift={diags[-1].mass_v_excess - diags[0].mass_v_excess:.3e} "
         f"entropy {diags[0].entropy_total:.6g} -> {diags[-1].entropy_total:.6g}"
-        + ("" if setup.kind is Kind.IBVP else f" far_field_ok={far_field_ok}"),
+        + ("" if setup.kind is Kind.IBVP else f" far_field_ok={far_field_ok}")
     )
-    return 0
 
 
 def _energy_spread(report) -> float:
@@ -390,10 +379,9 @@ def _energy_spread(report) -> float:
     return (max(energies) - min(energies)) / mean
 
 
-def _cmd_converge(cfg: RunConfig, out: str, quiet: bool, eps_override) -> int:
+def _cmd_converge(cfg: RunConfig, out: str) -> tuple[int, str]:
     setup, grid, solver = build_setup(cfg), build_grid(cfg), build_solver(cfg)
-    ladder = eps_override if eps_override is not None else cfg.eps_ladder
-    report = run_ladder(setup, grid, solver, ladder, stride=cfg.stride)
+    report = run_ladder(setup, grid, solver, cfg.eps_ladder, stride=cfg.stride)
     spread = _energy_spread(report)
     if cfg.kind is Kind.CAUCHY_TRUNCATED:
         slope_window = (0.85, 1.15)
@@ -412,17 +400,15 @@ def _cmd_converge(cfg: RunConfig, out: str, quiet: bool, eps_override) -> int:
         norms_note=H2_BOUNDARY_STENCIL_NOTE,
     )
     emit_report_json(payload, os.path.join(out, "report.json"))
-    _say(
-        quiet,
+    return (0 if passed else 4), (
         f"converge[{cfg.kind.value}]: slope={report.fitted_slope:.4f} "
         f"ci=({report.slope_ci[0]:.4f}, {report.slope_ci[1]:.4f}) "
         f"monotone={report.errors_monotone} energy_spread={spread:.3%} -> "
-        + ("PASS" if passed else "FAIL"),
+        + ("PASS" if passed else "FAIL")
     )
-    return 0 if passed else 4
 
 
-def _cmd_entropy_check(cfg: RunConfig, out: str, quiet: bool) -> int:
+def _cmd_entropy_check(cfg: RunConfig, out: str) -> tuple[int, str]:
     setup, grid, solver = build_setup(cfg), build_grid(cfg), build_solver(cfg)
     diags = []
     for final, d in run(setup, grid, solver, cfg.stride):
@@ -453,16 +439,14 @@ def _cmd_entropy_check(cfg: RunConfig, out: str, quiet: bool) -> int:
         },
         os.path.join(out, "entropy_check.json"),
     )
-    _say(
-        quiet,
+    return 0, (
         f"entropy-check: residual_l2={res.l2:.3e} nonincreasing={ok_entropy} "
         f"floor_passed={floor.passed} (margin {floor.worst_margin:.3e})"
-        + ("" if setup.kind is Kind.IBVP else f" far_field_ok={far_field_ok}"),
+        + ("" if setup.kind is Kind.IBVP else f" far_field_ok={far_field_ok}")
     )
-    return 0
 
 
-def _cmd_self_converge(cfg: RunConfig, out: str, quiet: bool) -> int:
+def _cmd_self_converge(cfg: RunConfig, out: str) -> tuple[int, str]:
     setup, solver = build_setup(cfg), build_solver(cfg)
     grids = [
         Grid1D(cfg.x_left, cfg.x_right, cfg.n_cells * 2**k)
@@ -477,16 +461,14 @@ def _cmd_self_converge(cfg: RunConfig, out: str, quiet: bool) -> int:
         },
         os.path.join(out, "self_convergence.json"),
     )
-    _say(
-        quiet,
+    return 0, (
         "self-converge: "
         + (f"slope={slope:.4f}" if slope is not None else "slope not applicable")
-        + f" over {len(table)} refinement pairs",
+        + f" over {len(table)} refinement pairs"
     )
-    return 0
 
 
-def _cmd_transform(cfg: RunConfig, out: str, quiet: bool) -> int:
+def _cmd_transform(cfg: RunConfig, out: str) -> tuple[int, str]:
     params = KSParams(cfg.ks_d, cfg.ks_chi, cfg.ks_alpha, cfg.ks_epsilon)
     traj, grid = read_ks_trajectory_csv(cfg.ks_csv, params)
     states = [hopf_cole(ks, grid) for ks in traj]
@@ -508,12 +490,26 @@ def _cmd_transform(cfg: RunConfig, out: str, quiet: bool) -> int:
         },
         os.path.join(out, "transform_report.json"),
     )
-    _say(
-        quiet,
+    return 0, (
         f"transform: residual l2 (density, gradient)=({res.l2_density:.3e}, "
-        f"{res.l2_gradient:.3e}) roundtrip={roundtrip:.3e}",
+        f"{res.l2_gradient:.3e}) roundtrip={roundtrip:.3e}"
     )
-    return 0
+
+
+# subcommand -> (help text, command)
+COMMANDS = {
+    "run": ("step one configuration to t_final and emit state + diagnostics CSVs", _cmd_run),
+    "converge": ("run the viscosity ladder and fit the convergence slope", _cmd_converge),
+    "entropy-check": (
+        "audit entropy balance, dissipation, and the positivity floor",
+        _cmd_entropy_check,
+    ),
+    "self-converge": ("grid-refinement study at fixed physics", _cmd_self_converge),
+    "transform": (
+        "apply the gradient substitution to a chemotaxis trajectory CSV",
+        _cmd_transform,
+    ),
+}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -523,13 +519,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "conservation laws and their zero-viscosity limit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("run", "step one configuration to t_final and emit state + diagnostics CSVs"),
-        ("converge", "run the viscosity ladder and fit the convergence slope"),
-        ("entropy-check", "audit entropy balance, dissipation, and the positivity floor"),
-        ("self-converge", "grid-refinement study at fixed physics"),
-        ("transform", "apply the gradient substitution to a chemotaxis trajectory CSV"),
-    ):
+    for name, (help_text, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to a key = value config file")
         p.add_argument("--out", default=None, help="output directory (default from config, else ./chemoflux_out)")
@@ -537,6 +527,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if name == "converge":
             p.add_argument("--eps", default=None, help="comma list overriding eps_ladder")
     args = parser.parse_args(argv)
+    name = args.command
 
     try:
         with open(args.config) as f:
@@ -547,43 +538,37 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         cfg = parse_config(text)
-        if args.command == "transform" and cfg.ks_csv is None:
+        if name == "transform" and cfg.ks_csv is None:
             raise ConfigError("ks_csv", 0, "transform needs a trajectory CSV path")
-        eps_override = None
-        if getattr(args, "eps", None):
+        if getattr(args, "eps", None) is not None:
             ladder = _convert("--eps", args.eps, 0, "floatlist")
-            eps_override = _build(lambda: check_ladder(ladder), {}, {"eps_ladder": "--eps"})
+            cfg.eps_ladder = _build(lambda: check_ladder(ladder), {}, {"eps_ladder": "--eps"})
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
 
-    cfg.experiment = args.command
+    # the echo is the config that runs: --eps and --out resolved into it
     out = args.out or cfg.out_dir or "chemoflux_out"
     cfg.out_dir = out
     try:
         os.makedirs(out, exist_ok=True)
         with open(os.path.join(out, "effective_config.cfg"), "w") as f:
-            f.write(emit_effective_config(cfg))
+            f.write(f"# chemoflux {name}\n" + emit_effective_config(cfg))
     except OSError as exc:
         print(f"cannot prepare output directory: {exc}", file=sys.stderr)
         return 3
 
     try:
-        if args.command == "run":
-            return _cmd_run(cfg, out, args.quiet)
-        if args.command == "converge":
-            return _cmd_converge(cfg, out, args.quiet, eps_override)
-        if args.command == "entropy-check":
-            return _cmd_entropy_check(cfg, out, args.quiet)
-        if args.command == "self-converge":
-            return _cmd_self_converge(cfg, out, args.quiet)
-        return _cmd_transform(cfg, out, args.quiet)
+        code, summary = COMMANDS[name][1](cfg, out)
     except ValueError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"run failure: {exc}", file=sys.stderr)
         return 3
+    if not args.quiet:
+        print(summary)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Viscosity-ladder experiments and refinement studies.
+"""Viscosity ladders and grid-refinement studies.
 
 A ladder steps the same initial data with epsilon = 0 (the baseline) and
 with each positive epsilon, all on one grid with one shared fixed dt.  The
@@ -24,29 +24,19 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRecord
 from .model import FieldError, Grid1D, Kind, ProblemSetup, make_initial
-from .stepping import ProgressError, SolverConfig, run
-from .stepping import _nominal_dt, _RowFailure, _trajectory
+from .stepping import LadderError, ProgressError, SolverConfig, run
+from .stepping import _nominal_dt, _trajectory
 
 __all__ = [
     "RungError",
     "ConvergenceReport",
     "SelfConvergenceRow",
-    "LadderError",
     "check_ladder",
     "run_ladder",
     "fit_slope",
     "self_convergence",
     "energy_functional",
 ]
-
-
-class LadderError(RuntimeError):
-    """A ladder member run failed; carries the offending epsilon."""
-
-    def __init__(self, eps: float, cause: BaseException):
-        self.eps = float(eps)
-        self.cause = cause
-        super().__init__(f"ladder run at epsilon = {eps:g} failed: {cause}")
 
 
 @dataclass(frozen=True)
@@ -178,8 +168,6 @@ def run_ladder(
             err_u = np.maximum(err_u, np.max(np.abs(stack.u[1:] - stack.u[0]), axis=-1))
             err_v = np.maximum(err_v, np.max(np.abs(stack.v[1:] - stack.v[0]), axis=-1))
             far_field_ok = far_field_ok and bool(d.far_field_ok[0])
-    except _RowFailure as exc:
-        raise LadderError(column[exc.row, 0], exc.cause) from exc.cause
     except ProgressError as exc:
         raise LadderError(0.0, exc) from exc
     # each member's series made contiguous, so its energy rounds as

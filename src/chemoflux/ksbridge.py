@@ -122,8 +122,6 @@ def hopf_cole(ks: KSState, grid: Grid1D) -> GradientState:
     c = ks.c
     if c.shape[0] != grid.n_nodes:
         raise ValueError(f"c has {c.shape[0]} nodes, grid has {grid.n_nodes}")
-    if np.any(c <= 0.0):
-        raise ValueError(f"c must be strictly positive, got min {np.min(c)}")
     logc = np.log(c)
     m = -(logc[1:] - logc[:-1]) / grid.dx
     v = np.empty_like(c)

@@ -61,6 +61,7 @@ __all__ = [
     "PositivityLossError",
     "DivergenceError",
     "ProgressError",
+    "LadderError",
     "step",
     "run",
     "coupled_imex_step",
@@ -91,6 +92,16 @@ class ProgressError(RuntimeError):
     def __init__(self, t: float, message: str):
         self.t = float(t)
         super().__init__(message)
+
+
+class LadderError(RuntimeError):
+    """A member of a viscosity ladder failed: eps is its epsilon, cause the
+    error its own run would raise."""
+
+    def __init__(self, eps: float, cause: BaseException):
+        self.eps = float(eps)
+        self.cause = cause
+        super().__init__(f"ladder run at epsilon = {eps:g} failed: {cause}")
 
 
 @dataclass(frozen=True)
@@ -233,16 +244,6 @@ def coupled_imex_step(
     return un, vn
 
 
-class _RowFailure(RuntimeError):
-    """A stepper failure in one row of a (k, n) stack: `row` is the first
-    failing row, `cause` the error that row's own run would raise."""
-
-    def __init__(self, row: int, cause: RuntimeError):
-        self.row = row
-        self.cause = cause
-        super().__init__(f"row {row}: {cause}")
-
-
 def _advance(
     state: State, setup: ProblemSetup, grid: Grid1D, epsilon, dt: float, t_new: float
 ) -> State:
@@ -250,7 +251,7 @@ def _advance(
     epsilon or of a (k, n) stack at an epsilon column.  The new State's own
     checks are the step's only scan for non-finite values and v <= 0; a
     failure is reported as divergence or positivity loss at t_new, for a
-    stack wrapped in a _RowFailure naming the first failing row."""
+    stack as the cause of a LadderError at the first failing row's epsilon."""
     # blow-up is detected by value below, so silence overflow warnings here
     with np.errstate(all="ignore"):
         u, v = coupled_imex_step(
@@ -269,7 +270,7 @@ def _advance(
         err = DivergenceError(t_new) if node is None else PositivityLossError(node, t_new)
         if u.ndim == 1:
             raise err from None
-        raise _RowFailure(row, err) from None
+        raise LadderError(epsilon[row, 0], err) from err
 
 
 def step(state: State, setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig) -> State:
@@ -288,9 +289,9 @@ def _trajectory(setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, stride: in
     epsilon column (k, 1), zero rows first, steps k copies of the initial
     data as one (k, n) stack, row i at epsilon[i], and yields stacked States.
     Stepper failures propagate with the failing time attached (from a stack,
-    as a _RowFailure naming the row).  Running out of max_steps, or a step
-    whose dt is too small to move t (t + dt == t), raises ProgressError
-    before that step is taken.
+    as a LadderError naming the failing row's epsilon).  Running out of
+    max_steps, or a step whose dt is too small to move t (t + dt == t),
+    raises ProgressError before that step is taken.
     """
     state = make_initial(setup, grid)
     if epsilon is None:

@@ -55,7 +55,6 @@ def test_parse_minimal_applies_documented_defaults():
     assert cfg.stride == 1
     assert cfg.eps_ladder == (0.1, 0.05, 0.025, 0.0125)
     assert cfg.alpha_floor == pytest.approx(0.7)  # resolved, not left implicit
-    assert cfg.experiment == "run"
 
 
 def test_parse_cauchy_defaults():
@@ -89,6 +88,7 @@ def test_parse_comments_blanks_and_inline_comments():
         (MINIMAL + "refine_levels = 0\n", "refine_levels", 4),
         (MINIMAL + "ks_epsilon = -1\n", "ks_epsilon", 4),
         (MINIMAL + "c_anchor = 1\n", "c_anchor", 4),  # removed key: now unknown
+        (MINIMAL + "experiment = run\n", "experiment", 4),  # removed key: now unknown
         (MINIMAL + "alpha_floor = -0.9\n", "alpha_floor", 4),
         ("kind = ibvp\nepsilon = 0.05\nt_final = inf\n", "t_final", 3),
         (MINIMAL + "n_cells = 1e400\n", "n_cells", 4),
@@ -132,7 +132,7 @@ def test_parse_missing_required_key():
 # sets every key but cfl, which excludes dt: each parse type and each
 # optional field round-trips
 EVERY_KEY = (
-    "experiment = converge\nkind = cauchy\nepsilon = 0.03\nv_infinity = 1.5\n"
+    "kind = cauchy\nepsilon = 0.03\nv_infinity = 1.5\n"
     "alpha_floor = 1.1\nt_final = 0.25\nprofile = gaussian\namplitude_u = 0.2\n"
     "amplitude_v = 0.25\nwidth = 0.8\nx_left = -12.5\nx_right = 12.5\nn_cells = 96\n"
     "dt = 0.001\nmax_steps = 5000\nstride = 3\neps_ladder = 0.2,0.1,0.05\n"
@@ -364,6 +364,14 @@ def test_exit_3_when_the_run_cannot_finish(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "effective_config.cfg"))
 
 
+def test_exit_3_when_out_is_a_regular_file(tmp_path, capsys):
+    cfg_path = write(tmp_path, "run.cfg", TINY_RUN)
+    out = write(tmp_path, "taken", "not a directory\n")
+    assert main(["run", "--config", cfg_path, "--out", out]) == 3
+    assert "cannot prepare output directory" in capsys.readouterr().err
+    assert open(out).read() == "not a directory\n"
+
+
 @pytest.mark.parametrize("command", ["run", "entropy-check"])
 def test_exit_3_at_a_step_that_cannot_move_t(tmp_path, capsys, stall_after_first_step, command):
     cfg_path = write(tmp_path, "run.cfg", TINY_RUN)
@@ -420,6 +428,29 @@ def test_converge_eps_override_validation(tmp_path, capsys):
     )
     assert code == 2
     assert "'--eps'" in capsys.readouterr().err
+    # an empty list is rejected, not read as "no override"
+    code = main(["converge", "--config", cfg_path, "--out", str(tmp_path / "o"), "--eps", ""])
+    assert code == 2
+    assert "'--eps'" in capsys.readouterr().err
+
+
+def test_converge_echoes_the_eps_ladder_that_ran(tmp_path, capsys):
+    cfg_path = write(
+        tmp_path, "ladder.cfg", "kind = ibvp\nepsilon = 0.05\nt_final = 0.01\nn_cells = 64\n"
+    )
+    first, again = str(tmp_path / "first"), str(tmp_path / "again")
+    assert main(["converge", "--config", cfg_path, "--out", first, "--eps", "0.2,0.1,0.05"]) == 0
+    summary = capsys.readouterr().out
+    echo = os.path.join(first, "effective_config.cfg")
+    lines = open(echo).read().splitlines()
+    assert lines[0] == "# chemoflux converge"
+    assert "eps_ladder = 0.20000000000000001,0.10000000000000001,0.050000000000000003" in lines
+    # the echo alone reproduces the run: same report, same summary line
+    assert main(["converge", "--config", echo, "--out", again]) == 0
+    assert capsys.readouterr().out == summary
+    report = open(os.path.join(first, "report.json"), "rb").read()
+    assert json.loads(report)["eps_ladder"] == [0.2, 0.1, 0.05]
+    assert open(os.path.join(again, "report.json"), "rb").read() == report
 
 
 # ------------------------------------------------------- remaining subcommands
@@ -620,6 +651,30 @@ def test_transform_through_cli(tmp_path):
     assert lines[0] == "x,u,v"
     v = np.array([float(ln.split(",")[2]) for ln in lines[1:]])
     assert np.max(np.abs(v - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "mutate,match",
+    [
+        # a level that KSState rejects: c <= 0 or non-finite
+        (lambda t: t.replace(",1,0.36787944117144233,0\n", ",1,0,0\n", 1), "strictly positive"),
+        (lambda t: t.replace(",1,0.36787944117144233,0\n", ",1,-0.5,0\n", 1), "strictly positive"),
+        (lambda t: t.replace(",1,0.36787944117144233,0\n", ",1,nan,0\n", 1), "non-finite"),
+        (lambda t: t.replace(",1,0.36787944117144233,0\n", ",1,inf,0\n", 1), "non-finite"),
+        # every row parses, as 3 columns: the first row is quoted
+        (
+            lambda t: re.sub(r",0$", "", t, flags=re.M),
+            "cannot parse data line '0,0,1' as 4 columns",
+        ),
+    ],
+)
+def test_transform_rejects_invalid_levels_naming_the_file(tmp_path, capsys, mutate, match):
+    traj = write(tmp_path, "traj.csv", mutate(trajectory_csv_text()))
+    cfg_path = write(tmp_path, "bridge.cfg", MINIMAL + f"ks_csv = {traj}\n")
+    assert main(["transform", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation failure: {traj}: ")
+    assert match in err
 
 
 def test_transform_error_paths(tmp_path, capsys):

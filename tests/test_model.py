@@ -181,6 +181,42 @@ def test_custom_profile_requires_both_callables():
         InitialProfile(family=Family.CUSTOM, custom_u=lambda x: x)
 
 
+def wrong_shape_profile():
+    return InitialProfile(
+        family=Family.CUSTOM,
+        custom_u=lambda x: np.zeros(x.size + 1),
+        custom_v=lambda x: np.ones_like(x),
+    )
+
+
+@pytest.mark.parametrize(
+    "make, fields",
+    [
+        (lambda: InitialProfile(family=Family.GAUSSIAN_BUMP, width=0.0), ("width",)),
+        (lambda: InitialProfile(family=Family.GAUSSIAN_BUMP, width=-1.0), ("width",)),
+        (lambda: cosine_setup(kind="ibvp"), ("kind",)),
+        (
+            lambda: make_initial(
+                ProblemSetup(
+                    kind=Kind.IBVP,
+                    epsilon=0.0,
+                    t_final=1.0,
+                    initial_data=wrong_shape_profile(),
+                    alpha_floor=0.5,
+                ),
+                Grid1D(0.0, 1.0, 64),
+            ),
+            ("custom_u", "custom_v"),
+        ),
+    ],
+    ids=["width=0", "width<0", "kind-as-str", "custom-shape"],
+)
+def test_field_errors_name_their_field(make, fields):
+    with pytest.raises(FieldError) as info:
+        make()
+    assert info.value.fields == fields
+
+
 # --------------------------------------------------------------- make_initial
 
 

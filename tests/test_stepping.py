@@ -2,10 +2,12 @@
 import numpy as np
 import pytest
 
+from chemoflux import stepping
 from chemoflux.diagnostics import positivity_floor_check, trapezoid
 from chemoflux.model import Family, Grid1D, InitialProfile, Kind, ProblemSetup, State, make_initial
 from chemoflux.stepping import (
     DivergenceError,
+    LadderError,
     PositivityLossError,
     ProgressError,
     SolverConfig,
@@ -372,6 +374,36 @@ def test_divergence_reports_time():
             step(state, setup, grid, SolverConfig(dt=1e-6))
     assert info.value.t == 1e-6
     assert issubclass(DivergenceError, RuntimeError)
+
+
+@pytest.mark.parametrize(
+    "row, field, value, cause",
+    [
+        (2, "v", -0.5, PositivityLossError),
+        (0, "v", -0.5, PositivityLossError),
+        (3, "u", np.nan, DivergenceError),
+        (1, "v", np.inf, DivergenceError),
+    ],
+)
+def test_stack_failure_raises_ladder_error_at_the_rows_epsilon(monkeypatch, row, field, value, cause):
+    kernel = stepping.coupled_imex_step
+
+    def spoiled(u, v, *args, **kw):
+        un, vn = kernel(u, v, *args, **kw)
+        (un if field == "u" else vn)[row, 17] = value
+        return un, vn
+
+    monkeypatch.setattr(stepping, "coupled_imex_step", spoiled)
+    column = np.array([[0.0], [0.1], [0.05], [0.025]])
+    setup, grid = cosine_setup(t_final=0.01), Grid1D(0.0, 1.0, 64)
+    with pytest.raises(LadderError) as info:
+        list(run(setup, grid, SolverConfig(dt=1e-3), epsilon=column))
+    assert info.value.eps == column[row, 0]
+    assert isinstance(info.value.cause, cause)
+    assert info.value.__cause__ is info.value.cause
+    assert info.value.cause.t == 1e-3
+    if cause is PositivityLossError:
+        assert info.value.cause.index == 17
 
 
 def test_progress_error_when_max_steps_exhausted():
