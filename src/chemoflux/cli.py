@@ -277,8 +277,9 @@ def emit_diagnostics_csv(records, path: str):
     """One row per DiagnosticsRecord, ascending t."""
     with _open_out(path) as f:
         f.write(DIAG_COLUMNS + "\n")
+        columns = DIAG_COLUMNS.split(",")
         for d in records:
-            f.write(",".join(_fmt(getattr(d, col)) for col in DIAG_COLUMNS.split(",")) + "\n")
+            f.write(",".join(_fmt(getattr(d, col)) for col in columns) + "\n")
 
 
 def _json_default(obj):
@@ -304,7 +305,7 @@ def _parses(line: str) -> bool:
         return False
 
 
-def read_ks_trajectory_csv(path: str, params: KSParams):
+def read_ks_trajectory_csv(path: str):
     """Read a t,x,c,u trajectory CSV into KSStates plus the grid they live on.
 
     Blank lines are skipped.  Rows must be grouped by ascending t with
@@ -344,7 +345,7 @@ def read_ks_trajectory_csv(path: str, params: KSParams):
     if not np.all(np.diff(levels[:, 0, 0]) > 0):
         raise ValueError(f"{path}: time levels must strictly increase")
     try:
-        states = [KSState(lv[:, 2], lv[:, 3], float(lv[0, 0]), params) for lv in levels]
+        states = [KSState(lv[:, 2], lv[:, 3], float(lv[0, 0])) for lv in levels]
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return states, Grid1D(float(x0[0]), float(x0[-1]), x0.size - 1)
@@ -470,7 +471,7 @@ def _cmd_self_converge(cfg: RunConfig, out: str) -> tuple[int, str]:
 
 def _cmd_transform(cfg: RunConfig, out: str) -> tuple[int, str]:
     params = KSParams(cfg.ks_d, cfg.ks_chi, cfg.ks_alpha, cfg.ks_epsilon)
-    traj, grid = read_ks_trajectory_csv(cfg.ks_csv, params)
+    traj, grid = read_ks_trajectory_csv(cfg.ks_csv)
     states = [hopf_cole(ks, grid) for ks in traj]
     try:
         res = residual_vs_conservation_form(states, grid, params)

@@ -24,8 +24,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRecord
 from .model import FieldError, Grid1D, Kind, ProblemSetup, make_initial
-from .stepping import LadderError, ProgressError, SolverConfig, run
-from .stepping import _nominal_dt, _trajectory
+from .stepping import LadderError, ProgressError, SolverConfig, _nominal_dt, run
 
 __all__ = [
     "RungError",
@@ -146,7 +145,8 @@ def run_ladder(
 
     Identical initial data, grid, and (fixed) dt for every member, all
     stepped together as the rows of one stack (see the module docstring).
-    The member that fails at the earliest step, the baseline first on a
+    setup_template.epsilon is not read: the baseline runs at 0 and each
+    member at its ladder value.  The member that fails at the earliest step, the baseline first on a
     tie, raises LadderError naming its epsilon (0.0 for the baseline);
     a ProgressError (max_steps run out, or a step that cannot move t) is
     attributed to the baseline.
@@ -235,8 +235,9 @@ def self_convergence(setup: ProblemSetup, grids: Sequence[Grid1D], cfg: SolverCo
     finals = []
     for k, g in enumerate(grids):
         cfg_k = replace(cfg, dt=dt0 / 4.0**k, cfl=None)
-        # only the final state is compared, so nothing is audited or recorded
-        for final in _trajectory(setup, g, cfg_k, stride=10**9):
+        # only the final State is compared: a stride past any step count
+        # yields just the initial and the final record
+        for final, _ in run(setup, g, cfg_k, stride=10**9):
             pass
         finals.append(final)
 

@@ -78,7 +78,6 @@ class KSState:
     c: np.ndarray
     u: np.ndarray
     t: float
-    params: KSParams
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -90,8 +89,6 @@ class KSState:
         if np.any(self.c <= 0.0):
             i = int(np.argmin(self.c))
             raise ValueError(f"c must be strictly positive; c[{i}] = {self.c[i]}")
-        if not isinstance(self.params, KSParams):
-            raise TypeError(f"params must be a KSParams, got {type(self.params).__name__}")
 
 
 @dataclass

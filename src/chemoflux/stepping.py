@@ -41,6 +41,10 @@ pair per field per step serves the whole stack, and the zero rows skip the
 u solve.  Each row comes out bitwise as its own (n,) step would, and one
 State check over the stack guards every member.
 
+run is the one loop that steps to t_final.  Single runs, viscosity ladders
+(convergence.run_ladder) and refinement studies (convergence.self_convergence)
+all take their States from it, each State with its audit_record.
+
 The splitting is first order in time.  Refinement studies in this package
 therefore tie dt to dx^2 (or share one fixed dt across runs that get
 compared), keeping temporal error below the second-order spatial error.
@@ -281,25 +285,36 @@ def step(state: State, setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig) -> 
     return _advance(state, setup, grid, setup.epsilon, dt, state.t + dt)
 
 
-def _trajectory(setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, stride: int, epsilon=None):
-    """Step to t_final (last step clipped to land exactly there), yielding
-    the state at t = 0, every `stride` steps and at t_final.
+def run(
+    setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, stride: int = 1, epsilon=None
+):
+    """The one stepping loop: step to t_final (last step clipped to land
+    exactly there), yielding the State at t = 0, every `stride` steps and at
+    t_final, each with its audit_record, far-field monitor included.
 
     With epsilon None this is the run of setup.epsilon on 1-d arrays.  An
     epsilon column (k, 1), zero rows first, steps k copies of the initial
-    data as one (k, n) stack, row i at epsilon[i], and yields stacked States.
+    data as one (k, n) stack, row i at epsilon[i], and yields stacked States
+    with every row audited.  stride is checked here, before any step.
     Stepper failures propagate with the failing time attached (from a stack,
     as a LadderError naming the failing row's epsilon).  Running out of
     max_steps, or a step whose dt is too small to move t (t + dt == t),
-    raises ProgressError before that step is taken.
+    raises ProgressError before that step is taken.  The generator holds no
+    State but the current one, so memory grows with the records only if the
+    caller keeps them: list(run(...)) keeps every State, records x 2n x 8
+    bytes.
     """
+    _check_stride(stride)
+    return _run(setup, grid, cfg, stride, epsilon)
+
+
+def _run(setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, stride: int, epsilon):
     state = make_initial(setup, grid)
-    if epsilon is None:
-        epsilon = setup.epsilon
-    else:
+    eps = setup.epsilon if epsilon is None else epsilon
+    if epsilon is not None:
         rows = (epsilon.shape[0], 1)
         state = State(np.tile(state.u, rows), np.tile(state.v, rows), state.t)
-    yield state
+    yield state, audit_record(state, grid, setup, epsilon)
     t_final = setup.t_final
     steps = 0
     while state.t < t_final:
@@ -309,7 +324,7 @@ def _trajectory(setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, stride: in
                 f"max_steps = {cfg.max_steps} exhausted at t = {state.t:.6g} "
                 f"before t_final = {t_final:.6g}",
             )
-        dt = _nominal_dt(state, epsilon, grid, cfg)
+        dt = _nominal_dt(state, eps, grid, cfg)
         remaining = t_final - state.t
         last = dt >= remaining * (1.0 - 1e-12)
         # the last step lands exactly on t_final instead of accumulating rounding
@@ -318,27 +333,7 @@ def _trajectory(setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, stride: in
             raise ProgressError(
                 state.t, f"a step of dt = {dt:.6g} does not advance t = {state.t!r}"
             )
-        state = _advance(state, setup, grid, epsilon, dt, t_new)
+        state = _advance(state, setup, grid, eps, dt, t_new)
         steps += 1
         if last or steps % stride == 0:
-            yield state
-
-
-def run(
-    setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, stride: int = 1, epsilon=None
-):
-    """The audited run: step to t_final as _trajectory does, yielding each
-    record's State with its audit_record, far-field monitor included.
-
-    With epsilon None this is the run of setup.epsilon on 1-d arrays; an
-    epsilon column (k, 1) runs the (k, n) stack and audits every row.
-    stride is checked here, before any step.  The generator holds no State
-    but the current one, so memory grows with the records only if the
-    caller keeps them: list(run(...)) keeps every State, records x 2n x 8
-    bytes.  A step that cannot move t raises ProgressError (see _trajectory).
-    """
-    _check_stride(stride)
-    return (
-        (state, audit_record(state, grid, setup, epsilon))
-        for state in _trajectory(setup, grid, cfg, stride, epsilon)
-    )
+            yield state, audit_record(state, grid, setup, epsilon)

@@ -273,11 +273,10 @@ def test_criterion_09_transform_roundtrip_and_rescaled_dual_run():
     t0 = time.perf_counter()
     grid = Grid1D(0.0, 1.0, 64)
     rng = np.random.default_rng(99)
-    params = KSParams(1.0, 1.0, 1.0, 0.0)
     worst_roundtrip = 0.0
     for _ in range(50):
         c = np.exp(rng.uniform(-2.0, 2.0, grid.n_nodes))
-        state = hopf_cole(KSState(c, np.zeros_like(c), 0.0, params), grid)
+        state = hopf_cole(KSState(c, np.zeros_like(c), 0.0), grid)
         back = inverse_hopf_cole(state, grid, float(c[0]))
         worst_roundtrip = max(worst_roundtrip, float(np.max(np.abs(back - c) / c)))
     assert worst_roundtrip <= 1e-10

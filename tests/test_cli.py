@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import pathlib
 import re
 import tracemalloc
 
@@ -19,7 +20,6 @@ from chemoflux.cli import (
     read_ks_trajectory_csv,
 )
 from chemoflux.convergence import ConvergenceReport, RungError
-from chemoflux.ksbridge import KSParams
 from chemoflux.model import Family, Kind
 from chemoflux.stepping import run
 
@@ -162,7 +162,7 @@ def test_effective_config_echoes_keys_in_field_order():
 
 
 def test_readme_config_table_names_exactly_the_config_fields():
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    readme = pathlib.Path(os.path.dirname(__file__), "..", "README.md").read_text()
     table = readme.split("### Config keys", 1)[1].split("\n\n", 2)[1]
     named = set()
     for row in table.splitlines()[2:]:
@@ -187,7 +187,7 @@ def test_report_json_serializes_enums_numpy_and_sorts_keys(tmp_path):
         {"kind": Kind.IBVP, "arr": np.arange(3.0), "val": np.float64(1.5), "n": np.int64(2)},
         path,
     )
-    payload = json.loads(open(path).read())
+    payload = json.loads(pathlib.Path(path).read_text())
     assert payload == {"kind": "ibvp", "arr": [0.0, 1.0, 2.0], "val": 1.5, "n": 2}
     with pytest.raises(TypeError):
         emit_report_json({"bad": object()}, str(tmp_path / "bad.json"))
@@ -210,18 +210,17 @@ def trajectory_csv_text(n_cells=16, times=(0.0, 0.1, 0.2), uniform=True):
 
 def test_read_trajectory_csv_happy_path(tmp_path):
     path = write(tmp_path, "traj.csv", trajectory_csv_text())
-    states, grid = read_ks_trajectory_csv(path, KSParams(1.0, 1.0, 1.0, 0.5))
+    states, grid = read_ks_trajectory_csv(path)
     assert len(states) == 3
     assert grid.n_nodes == 17
     assert [s.t for s in states] == [0.0, 0.1, 0.2]
-    assert states[0].params.epsilon == 0.5
     assert states[1].c[0] == 1.0
     # blank and whitespace-only lines are skipped wherever they sit
     lines = trajectory_csv_text().splitlines()
     for k in (30, 17, 1, 0):  # inside level 1, inside level 0, after the header, before it
         lines.insert(k, " \t " if k % 2 else "")
     spaced = write(tmp_path, "spaced.csv", "\n".join(lines) + "\n\n  \n")
-    again, grid_again = read_ks_trajectory_csv(spaced, KSParams(1.0, 1.0, 1.0, 0.5))
+    again, grid_again = read_ks_trajectory_csv(spaced)
     assert grid_again == grid
     assert [s.t for s in again] == [s.t for s in states]
     for a, b in zip(again, states):
@@ -253,14 +252,14 @@ def drop_line(text, k):
 def test_read_trajectory_csv_rejects_malformed_input(tmp_path, mutate, match):
     path = write(tmp_path, "bad.csv", mutate(trajectory_csv_text()))
     with pytest.raises(ValueError, match=match) as info:
-        read_ks_trajectory_csv(path, KSParams(1.0, 1.0, 1.0, 0.0))
+        read_ks_trajectory_csv(path)
     assert str(info.value).startswith(path + ":")
 
 
 def test_read_trajectory_csv_rejects_header_only_file(tmp_path, capsys):
     path = write(tmp_path, "empty.csv", "t,x,c,u\n")
     with pytest.raises(ValueError, match="no data rows") as info:
-        read_ks_trajectory_csv(path, KSParams(1.0, 1.0, 1.0, 0.0))
+        read_ks_trajectory_csv(path)
     assert path in str(info.value)
     cfg_path = write(tmp_path, "bridge.cfg", MINIMAL + f"ks_csv = {path}\n")
     assert main(["transform", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
@@ -275,7 +274,7 @@ def test_read_trajectory_csv_rejects_mismatched_levels(tmp_path):
         lines.append(f"0.1,{x:.17g},1.0,0")
     path = write(tmp_path, "bad.csv", "\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="different x grid"):
-        read_ks_trajectory_csv(path, KSParams(1.0, 1.0, 1.0, 0.0))
+        read_ks_trajectory_csv(path)
 
 
 # ------------------------------------------------------------------- run cmd
@@ -291,10 +290,10 @@ def test_run_end_to_end_files_and_bit_faithful_csv(tmp_path):
         "effective_config.cfg",
         "state_final.csv",
     ]
-    state_lines = open(os.path.join(out, "state_final.csv")).read().splitlines()
+    state_lines = pathlib.Path(out, "state_final.csv").read_text().splitlines()
     assert state_lines[0] == "x,u,v"
     assert len(state_lines) == 1 + 65
-    diag_lines = open(os.path.join(out, "diagnostics.csv")).read().splitlines()
+    diag_lines = pathlib.Path(out, "diagnostics.csv").read_text().splitlines()
     assert diag_lines[0] == cli.DIAG_COLUMNS
     assert len(diag_lines) == 1 + 5  # initial + steps 5,10,15 + final step 20
 
@@ -316,8 +315,8 @@ def test_run_outputs_are_bit_reproducible(tmp_path):
     assert main(["run", "--config", cfg_path, "--out", out2, "--quiet"]) == 0
     for name in ("state_final.csv", "diagnostics.csv"):
         assert (
-            open(os.path.join(out1, name), "rb").read()
-            == open(os.path.join(out2, name), "rb").read()
+            pathlib.Path(out1, name).read_bytes()
+            == pathlib.Path(out2, name).read_bytes()
         )
 
     # re-running from the echoed effective config reproduces the run
@@ -326,8 +325,8 @@ def test_run_outputs_are_bit_reproducible(tmp_path):
     assert main(["run", "--config", echo, "--out", out3, "--quiet"]) == 0
     for name in ("state_final.csv", "diagnostics.csv"):
         assert (
-            open(os.path.join(out1, name), "rb").read()
-            == open(os.path.join(out3, name), "rb").read()
+            pathlib.Path(out1, name).read_bytes()
+            == pathlib.Path(out3, name).read_bytes()
         )
 
 
@@ -369,7 +368,15 @@ def test_exit_3_when_out_is_a_regular_file(tmp_path, capsys):
     out = write(tmp_path, "taken", "not a directory\n")
     assert main(["run", "--config", cfg_path, "--out", out]) == 3
     assert "cannot prepare output directory" in capsys.readouterr().err
-    assert open(out).read() == "not a directory\n"
+    assert pathlib.Path(out).read_text() == "not a directory\n"
+
+
+def test_exit_3_when_an_output_file_cannot_be_written(tmp_path, capsys):
+    cfg_path = write(tmp_path, "run.cfg", TINY_RUN)
+    out = tmp_path / "o"
+    (out / "state_final.csv").mkdir(parents=True)
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("run failure: cannot write")
 
 
 @pytest.mark.parametrize("command", ["run", "entropy-check"])
@@ -404,7 +411,7 @@ def test_exit_4_when_convergence_threshold_fails(tmp_path, monkeypatch, capsys):
     out = str(tmp_path / "o")
     assert main(["converge", "--config", cfg_path, "--out", out]) == 4
     assert "FAIL" in capsys.readouterr().out
-    payload = json.loads(open(os.path.join(out, "report.json")).read())
+    payload = json.loads(pathlib.Path(out, "report.json").read_text())
     assert payload["passed"] is False
     assert payload["observed_slope"] == 0.2
     assert payload["requirement"] == "slope in [0.85, 1.15]"
@@ -442,15 +449,15 @@ def test_converge_echoes_the_eps_ladder_that_ran(tmp_path, capsys):
     assert main(["converge", "--config", cfg_path, "--out", first, "--eps", "0.2,0.1,0.05"]) == 0
     summary = capsys.readouterr().out
     echo = os.path.join(first, "effective_config.cfg")
-    lines = open(echo).read().splitlines()
+    lines = pathlib.Path(echo).read_text().splitlines()
     assert lines[0] == "# chemoflux converge"
     assert "eps_ladder = 0.20000000000000001,0.10000000000000001,0.050000000000000003" in lines
     # the echo alone reproduces the run: same report, same summary line
     assert main(["converge", "--config", echo, "--out", again]) == 0
     assert capsys.readouterr().out == summary
-    report = open(os.path.join(first, "report.json"), "rb").read()
+    report = pathlib.Path(first, "report.json").read_bytes()
     assert json.loads(report)["eps_ladder"] == [0.2, 0.1, 0.05]
-    assert open(os.path.join(again, "report.json"), "rb").read() == report
+    assert pathlib.Path(again, "report.json").read_bytes() == report
 
 
 # ------------------------------------------------------- remaining subcommands
@@ -467,7 +474,7 @@ def test_converge_mini_ladder_through_cli(tmp_path):
         ["converge", "--config", cfg_path, "--out", out, "--quiet", "--eps", "0.1,0.05,0.025"]
     )
     assert code == 0
-    payload = json.loads(open(os.path.join(out, "report.json")).read())
+    payload = json.loads(pathlib.Path(out, "report.json").read_text())
     assert payload["passed"] is True
     assert payload["requirement"] == "slope >= 0.7 and errors monotone"
     assert 0.8 <= payload["observed_slope"] <= 1.2
@@ -484,10 +491,10 @@ def test_converge_samples_the_ladder_at_the_config_stride(tmp_path):
     )
     out = str(tmp_path / "o")
     assert main(["converge", "--config", cfg_path, "--out", out, "--quiet"]) in (0, 4)
-    payload = json.loads(open(os.path.join(out, "report.json")).read())
+    payload = json.loads(pathlib.Path(out, "report.json").read_text())
     assert payload["grid_meta"]["stride"] == 3
     assert payload["baseline_meta"]["n_records"] == -(-23 // 3) + 1
-    assert "stride = 3\n" in open(os.path.join(out, "effective_config.cfg")).read()
+    assert "stride = 3\n" in pathlib.Path(out, "effective_config.cfg").read_text()
 
 
 def test_entropy_check_through_cli(tmp_path):
@@ -498,7 +505,7 @@ def test_entropy_check_through_cli(tmp_path):
     )
     out = str(tmp_path / "o")
     assert main(["entropy-check", "--config", cfg_path, "--out", out, "--quiet"]) == 0
-    payload = json.loads(open(os.path.join(out, "entropy_check.json")).read())
+    payload = json.loads(pathlib.Path(out, "entropy_check.json").read_text())
     assert payload["entropy_nonincreasing"] is True
     assert payload["floor_passed"] is True
     assert payload["residual_l2"] < 1.0
@@ -618,7 +625,7 @@ def test_self_converge_through_cli(tmp_path):
     )
     out = str(tmp_path / "o")
     assert main(["self-converge", "--config", cfg_path, "--out", out, "--quiet"]) == 0
-    payload = json.loads(open(os.path.join(out, "self_convergence.json")).read())
+    payload = json.loads(pathlib.Path(out, "self_convergence.json").read_text())
     assert payload["slope_applicable"] is True
     assert 1.5 <= payload["slope"] <= 2.5
     assert len(payload["table"]) == 2
@@ -634,7 +641,7 @@ def test_transform_through_cli(tmp_path):
     )
     out = str(tmp_path / "o")
     assert main(["transform", "--config", cfg_path, "--out", out, "--quiet"]) == 0
-    payload = json.loads(open(os.path.join(out, "transform_report.json")).read())
+    payload = json.loads(pathlib.Path(out, "transform_report.json").read_text())
     # static c = exp(-x) has a constant unit gradient: an exact steady solution
     assert payload["l2_gradient"] <= 1e-9
     assert payload["l2_density"] == 0.0
@@ -647,7 +654,7 @@ def test_transform_through_cli(tmp_path):
         "time_factor": 4.0,
         "v_factor": math.sqrt(2.0),
     }
-    lines = open(os.path.join(out, "transformed_final.csv")).read().splitlines()
+    lines = pathlib.Path(out, "transformed_final.csv").read_text().splitlines()
     assert lines[0] == "x,u,v"
     v = np.array([float(ln.split(",")[2]) for ln in lines[1:]])
     assert np.max(np.abs(v - 1.0)) <= 1e-12

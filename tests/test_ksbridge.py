@@ -22,10 +22,10 @@ from chemoflux.model import Grid1D, State
 PARAMS = KSParams(D=1.0, chi=1.0, alpha_rate=1.0, epsilon=0.0)
 
 
-def ks(c, u=None, t=0.0, params=PARAMS):
+def ks(c, u=None, t=0.0):
     if u is None:
         u = np.zeros_like(np.asarray(c, dtype=float))
-    return KSState(c=c, u=u, t=t, params=params)
+    return KSState(c=c, u=u, t=t)
 
 
 # ------------------------------------------------------------------ transform
@@ -187,13 +187,11 @@ def test_ks_params_validation():
 
 def test_ks_state_validation():
     with pytest.raises(ValueError, match=r"c\[2\]"):
-        KSState(np.array([1.0, 1.0, 0.0]), np.zeros(3), 0.0, PARAMS)
+        KSState(np.array([1.0, 1.0, 0.0]), np.zeros(3), 0.0)
     with pytest.raises(ValueError, match="equal length"):
-        KSState(np.ones(4), np.zeros(3), 0.0, PARAMS)
+        KSState(np.ones(4), np.zeros(3), 0.0)
     with pytest.raises(ValueError, match="finite"):
-        KSState(np.array([1.0, np.inf]), np.zeros(2), 0.0, PARAMS)
-    with pytest.raises(TypeError, match="KSParams"):
-        KSState(np.ones(3), np.zeros(3), 0.0, (1.0, 2.0, 3.0, 0.5))
+        KSState(np.array([1.0, np.inf]), np.zeros(2), 0.0)
 
 
 # ------------------------------------------------------------------- residual
@@ -214,7 +212,7 @@ def manufactured_trajectory(n_cells, dt, n_levels=5):
     for j in range(n_levels):
         t = j * dt
         c = 2.0 + 0.5 * math.exp(-params.epsilon * k * k * t) * np.cos(k * grid.x)
-        traj.append(KSState(c, np.zeros(grid.n_nodes), t, params))
+        traj.append(KSState(c, np.zeros(grid.n_nodes), t))
     return transformed(traj, grid), grid, params
 
 
