@@ -275,6 +275,29 @@ def test_entropy_residual_is_order_one_on_unrelated_states():
     assert field.linf > 0.1
 
 
+def test_entropy_residual_is_bitwise_the_defect_of_entropy_pair():
+    # oracle: eta and q of all three States from entropy_pair itself
+    grid = Grid1D(0.0, 1.0, 64)
+    setup = cosine_setup(epsilon=0.05)
+    rng = np.random.default_rng(11)
+    n, dx, v_inf, eps = grid.n_nodes, grid.dx, setup.v_infinity, setup.epsilon
+    prev, mid, nxt = (
+        State(rng.uniform(-1, 1, n), rng.uniform(0.5, 1.5, n), t) for t in (0.0, 0.01, 0.02)
+    )
+    field = entropy_residual(prev, mid, nxt, grid, setup)
+    eta_prev = entropy_pair(prev.u, prev.v, v_inf, eps).eta
+    eta_next = entropy_pair(nxt.u, nxt.v, v_inf, eps).eta
+    q = entropy_pair(mid.u, mid.v, v_inf, eps).q
+    u, v = mid.u, mid.v
+    expected = (
+        (eta_next[1:-1] - eta_prev[1:-1]) / ((mid.t - prev.t) + (nxt.t - mid.t))
+        + (q[2:] - q[:-2]) / (2.0 * dx)
+        - eps * u[1:-1] * ((u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2)
+        - ((v[2:] - 2.0 * v[1:-1] + v[:-2]) / dx**2) * np.log1p((v[1:-1] - v_inf) / v_inf)
+    )
+    assert field.residual.tobytes() == expected.tobytes()
+
+
 def test_entropy_residual_refines_at_second_order():
     # halving dx (with dt = dx^2/16) must cut the residual l2 by ~4
     setup = cosine_setup(epsilon=0.05, t_final=0.02)

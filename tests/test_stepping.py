@@ -293,6 +293,17 @@ def test_run_stride_record_count():
     assert len(states) == len(diags) == 8
 
 
+def test_run_with_a_stride_past_the_last_step_records_initial_and_final():
+    # self_convergence reads each grid's final State this way
+    grid = Grid1D(0.0, 1.0, 64)
+    setup = cosine_setup(epsilon=0.05, t_final=0.1)
+    every, _ = zip(*run(setup, grid, SolverConfig(dt=0.004)))
+    ends, _ = zip(*run(setup, grid, SolverConfig(dt=0.004), stride=10**9))
+    assert [s.t for s in ends] == [0.0, 0.1]
+    assert ends[-1].u.tobytes() == every[-1].u.tobytes()
+    assert ends[-1].v.tobytes() == every[-1].v.tobytes()
+
+
 def test_run_is_deterministic():
     grid = Grid1D(0.0, 1.0, 64)
     setup = cosine_setup(epsilon=0.05, t_final=0.05)
