@@ -305,21 +305,14 @@ def _parses(line: str) -> bool:
         return False
 
 
-def read_ks_trajectory_csv(path: str):
-    """Read a t,x,c,u trajectory CSV into KSStates plus the grid they live on.
-
-    Blank lines are skipped.  Rows must be grouped by ascending t with
-    identical ascending, uniformly spaced x in every block.
-    """
+def _read_stripped_lines(path: str) -> np.ndarray:
+    """The data rows of a file that numpy refused whole: parse its stripped,
+    non-blank lines after the header, or quote the first bad line."""
     try:
         with open(path, newline="") as f:
             lines = [ln.strip() for ln in f if ln.strip()]
     except OSError as exc:
         raise RuntimeError(f"cannot read {path}: {exc}") from exc
-    if not lines or lines[0] != "t,x,c,u":
-        raise ValueError(f"{path}: expected header 't,x,c,u', got {lines[0] if lines else 'nothing'}")
-    if len(lines) == 1:
-        raise ValueError(f"{path}: no data rows after the header")
     try:
         data = np.loadtxt(lines[1:], delimiter=",", ndmin=2, comments=None)
         if data.shape[1] != 4:
@@ -327,6 +320,43 @@ def read_ks_trajectory_csv(path: str):
     except ValueError:  # only a malformed file gets here: quote its first bad line
         bad = next(ln for ln in lines[1:] if not _parses(ln))
         raise ValueError(f"{path}: cannot parse data line {bad!r} as 4 columns of numbers") from None
+    return data
+
+
+def read_ks_trajectory_csv(path: str):
+    """Read a t,x,c,u trajectory CSV into KSStates plus the grid they live on.
+
+    Blank and whitespace-only lines are skipped.  Rows must be grouped by
+    ascending t with identical ascending, uniformly spaced x in every block.
+
+    Only the lines up to the first data row are read here; numpy parses the
+    rest from the path itself, with no Python string per line.  A file
+    numpy refuses (whitespace-only lines, which it rejects, or a bad row)
+    is read again line by line, which skips the former and quotes the
+    latter.
+    """
+    header = None
+    try:
+        with open(path, newline="") as f:
+            for skip, ln in enumerate(f, start=1):
+                if ln.strip():
+                    header = ln.strip()
+                    break
+            has_data = any(ln.strip() for ln in f)
+    except OSError as exc:
+        raise RuntimeError(f"cannot read {path}: {exc}") from exc
+    if header != "t,x,c,u":
+        raise ValueError(f"{path}: expected header 't,x,c,u', got {header or 'nothing'}")
+    if not has_data:
+        raise ValueError(f"{path}: no data rows after the header")
+    try:
+        data = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, skiprows=skip)
+        if data.shape[1] != 4:
+            raise ValueError(data.shape)
+    except OSError as exc:
+        raise RuntimeError(f"cannot read {path}: {exc}") from exc
+    except ValueError:
+        data = _read_stripped_lines(path)
     t = data[:, 0]
     starts = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
     sizes = np.diff(np.append(starts, t.size))
@@ -356,13 +386,19 @@ def read_ks_trajectory_csv(path: str):
 # returns (exit code, summary line)
 
 
+def _run_audited(setup: ProblemSetup, grid: Grid1D, solver: SolverConfig, stride: int):
+    """Step one run to t_final, keeping its audits and its last State only,
+    not the trajectory: (final State, audits, far-field monitor folded over
+    every audit)."""
+    diags = []
+    for final, d in run(setup, grid, solver, stride):
+        diags.append(d)
+    return final, diags, all(d.far_field_ok for d in diags)
+
+
 def _cmd_run(cfg: RunConfig, out: str) -> tuple[int, str]:
     setup, grid, solver = build_setup(cfg), build_grid(cfg), build_solver(cfg)
-    # keep the audits and the last State only, not the trajectory
-    diags = []
-    for final, d in run(setup, grid, solver, cfg.stride):
-        diags.append(d)
-    far_field_ok = all(d.far_field_ok for d in diags)
+    final, diags, far_field_ok = _run_audited(setup, grid, solver, cfg.stride)
     emit_state_csv(final, grid, os.path.join(out, "state_final.csv"))
     emit_diagnostics_csv(diags, os.path.join(out, "diagnostics.csv"))
     return 0, (
@@ -411,10 +447,7 @@ def _cmd_converge(cfg: RunConfig, out: str) -> tuple[int, str]:
 
 def _cmd_entropy_check(cfg: RunConfig, out: str) -> tuple[int, str]:
     setup, grid, solver = build_setup(cfg), build_grid(cfg), build_solver(cfg)
-    diags = []
-    for final, d in run(setup, grid, solver, cfg.stride):
-        diags.append(d)
-    far_field_ok = all(d.far_field_ok for d in diags)
+    final, diags, far_field_ok = _run_audited(setup, grid, solver, cfg.stride)
     # two extra fixed-dt steps give an exactly spaced triple for the residual
     dt = _nominal_dt(final, setup.epsilon, grid, solver)
     cfg_fixed = SolverConfig(dt=dt, max_steps=solver.max_steps)

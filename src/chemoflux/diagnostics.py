@@ -117,8 +117,13 @@ def _d2dx(f: np.ndarray, dx: float) -> np.ndarray:
     return g
 
 
-def _h2_integrand(f: np.ndarray, fx: np.ndarray, fxx: np.ndarray) -> np.ndarray:
-    return f * f + fx * fx + fxx * fxx
+def _h2_integrand(
+    f: np.ndarray, fx: np.ndarray, fxx: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> None:
+    """f*f + fx*fx + fxx*fxx into out, one operation at a time in that order."""
+    np.multiply(f, f, out=out)
+    out += np.multiply(fx, fx, out=scratch)
+    out += np.multiply(fxx, fxx, out=scratch)
 
 
 def audit_record(
@@ -140,28 +145,28 @@ def audit_record(
     """
     dx = grid.dx
     u, v = state.u, state.v
-    fields = np.stack((u, v, v - setup.v_infinity))
-    ux, vx, gx = _ddx(fields, dx)
-    uxx, gxx = _d2dx(fields[::2], dx)
-    g = fields[2]
-    integrands = np.stack(
-        (
-            _entropy_density(u, v, setup.v_infinity)[0],
-            vx * vx / v,
-            ux * ux,
-            u,
-            g,
-            _h2_integrand(u, ux, uxx),
-            _h2_integrand(g, gx, gxx),
-        )
-    )
+    # u and g = v - v_inf first, so their second differences read
+    # contiguous rows
+    fields = np.stack((u, v - setup.v_infinity, v))
+    ux, gx, vx = _ddx(fields, dx)
+    uxx, gxx = _d2dx(fields[:2], dx)
+    g = fields[1]
+    integrands = np.empty((7,) + u.shape)
+    integrands[0] = _entropy_density(u, v, setup.v_infinity)[0]
+    np.divide(np.multiply(vx, vx, out=integrands[1]), v, out=integrands[1])
+    np.multiply(ux, ux, out=integrands[2])
+    integrands[3] = u
+    integrands[4] = g
+    scratch = np.empty_like(u)
+    _h2_integrand(u, ux, uxx, integrands[5], scratch)
+    _h2_integrand(g, gx, gxx, integrands[6], scratch)
     totals = trapezoid(integrands, dx)
     min_v, sup_abs_ux = v.min(axis=-1), np.max(np.abs(ux), axis=-1)
     if setup.kind is Kind.IBVP:
         far_field_ok = np.full(min_v.shape, True)
     else:
         edge = max(1, u.shape[-1] // 10)
-        rims = np.concatenate((fields[::2, ..., :edge], fields[::2, ..., -edge:]), axis=-1)
+        rims = np.concatenate((fields[:2, ..., :edge], fields[:2, ..., -edge:]), axis=-1)
         far_field_ok = np.max(np.abs(rims), axis=(0, -1)) <= FAR_FIELD_TOL
     if epsilon is None:
         eps = setup.epsilon

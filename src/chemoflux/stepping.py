@@ -142,14 +142,8 @@ def _nominal_dt(state: State, epsilon, grid: Grid1D, cfg: SolverConfig) -> float
     epsilon is a float, or for a stack a (k, 1) column, one row per member."""
     if cfg.dt is not None:
         return cfg.dt
-    speed = float(
-        np.max(
-            2.0 * epsilon * np.abs(state.u)
-            + 1.0
-            + np.abs(state.u)
-            + np.sqrt(state.v)
-        )
-    )
+    abs_u = np.abs(state.u)
+    speed = float(np.max(2.0 * epsilon * abs_u + 1.0 + abs_u + np.sqrt(state.v)))
     return cfg.cfl * grid.dx / max(1.0, speed)
 
 

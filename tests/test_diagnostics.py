@@ -166,6 +166,40 @@ def test_audit_dissipation_against_handwritten_stencil_sum():
     assert rec.sup_abs_ux == pytest.approx(max(abs(deriv(u, i)) for i in range(n)), rel=1e-15)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_audit_integrals_are_bitwise_the_plain_expressions(seed):
+    # the audit fills its integrands in place; each must still be the plain
+    # expression, operand for operand and in the same order (the seeds give
+    # rows whose sums tell (a + b) + c from (a + c) + b)
+    grid = Grid1D(0.0, 1.0, 256)
+    setup = cosine_setup(epsilon=0.05, v_infinity=1.5)
+    u, v = (f[0] for f in smooth_stack(grid, 1, setup.v_infinity, seed))
+    rec = audit_record(State(u, v, 0.0), grid, setup)
+    dx = grid.dx
+
+    def ddx(f):
+        g = np.empty_like(f)
+        g[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
+        g[0], g[-1] = (f[1] - f[0]) / dx, (f[-1] - f[-2]) / dx
+        return g
+
+    def d2dx(f):
+        g = np.empty_like(f)
+        g[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (dx * dx)
+        g[0] = (f[0] - 2.0 * f[1] + f[2]) / (dx * dx)
+        g[-1] = (f[-1] - 2.0 * f[-2] + f[-3]) / (dx * dx)
+        return g
+
+    g = v - setup.v_infinity
+    ux, vx, gx = ddx(u), ddx(v), ddx(g)
+    assert rec.dissipation_v == trapezoid(vx * vx / v, dx)
+    assert rec.dissipation_u == 0.05 * trapezoid(ux * ux, dx)
+    assert rec.mass_u == trapezoid(u, dx)
+    assert rec.mass_v_excess == trapezoid(g, dx)
+    assert rec.h2_u == trapezoid(u * u + ux * ux + d2dx(u) * d2dx(u), dx)
+    assert rec.h2_v == trapezoid(g * g + gx * gx + d2dx(g) * d2dx(g), dx)
+
+
 def smooth_stack(grid, k, v_inf, seed):
     """k distinct admissible rows: smooth bumps plus node-level noise."""
     rng = np.random.default_rng(seed)
