@@ -369,7 +369,8 @@ def read_ks_trajectory_csv(path: str):
     off_grid = sizes != x0.size
     if not np.any(off_grid):
         levels = data.reshape(starts.size, x0.size, 4)
-        off_grid = ~(np.max(np.abs(levels[:, :, 1] - x0), axis=1) <= 1e-12 * max(1.0, np.max(np.abs(x0))))
+        dev = np.subtract(levels[:, :, 1], x0)  # the one (levels, n) buffer of the check
+        off_grid = ~(np.max(np.abs(dev, out=dev), axis=1) <= 1e-12 * max(1.0, np.max(np.abs(x0))))
     if np.any(off_grid):
         raise ValueError(f"{path}: time level t={t[starts[np.argmax(off_grid)]]} has a different x grid")
     if not np.all(np.diff(levels[:, 0, 0]) > 0):

@@ -116,11 +116,14 @@ class State:
         self.v = np.asarray(self.v, dtype=float)
         if self.u.ndim not in (1, 2) or self.u.shape != self.v.shape:
             raise ValueError("u and v must be 1-d arrays, or (k, n) stacks, of equal shape")
-        if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))) or np.any(
-            self.v <= 0.0
+        u, v = self.u, self.v
+        # four reductions, no temporaries, and a nan fails every comparison;
+        # a zero-size state, on which min and max would raise, passes
+        if u.size and not (
+            -np.inf < u.min() and u.max() < np.inf and v.min() > 0.0 and v.max() < np.inf
         ):
-            row, node = _first_fault(self.u, self.v)
-            stacked = self.v.ndim == 2
+            row, node = _first_fault(u, v)
+            stacked = v.ndim == 2
             if node is None:
                 where = f" in row {row}" if stacked else ""
                 raise ValueError(f"state arrays contain non-finite entries{where}")

@@ -307,17 +307,21 @@ def test_read_trajectory_csv_reports_an_io_error_inside_numpy_as_cannot_read(tmp
     assert "cannot read" in capsys.readouterr().err
 
 
-def test_read_trajectory_csv_peak_memory_stays_near_the_parsed_array(tmp_path):
-    # 40 levels x 513 nodes: the parse is held to a small multiple of the
-    # float64 array it returns, with no Python string per line alive at once
-    levels, nodes = 40, 513
+def big_trajectory_csv(tmp_path, levels, nodes):
+    """A t,x,c,u CSV of `levels` time levels on `nodes` nodes of [0, 1]."""
     lines = ["t,x,c,u"]
     for j in range(levels):
         for i in range(nodes):
             x = i / (nodes - 1)
             lines.append(f"{j * 0.01:.17g},{x:.17g},{2.0 + math.cos(x) * math.exp(-j * 0.01):.17g},0")
-    path = write(tmp_path, "big.csv", "\n".join(lines) + "\n")
-    del lines
+    return write(tmp_path, "big.csv", "\n".join(lines) + "\n")
+
+
+def test_read_trajectory_csv_peak_memory_stays_near_the_parsed_array(tmp_path):
+    # 40 levels x 513 nodes: the parse is held to a small multiple of the
+    # float64 array it returns, with no Python string per line alive at once
+    levels, nodes = 40, 513
+    path = big_trajectory_csv(tmp_path, levels, nodes)
     read_ks_trajectory_csv(path)  # warm numpy's and the reader's imports
     tracemalloc.start()
     try:
@@ -326,8 +330,30 @@ def test_read_trajectory_csv_peak_memory_stays_near_the_parsed_array(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(states) == levels
-    # measured 1.52 reading by path; 4.4-4.7 with a stripped list of every line
-    assert peak / (levels * nodes * 4 * 8) <= 2.5
+    # measured 1.37 reading by path with one grid-check buffer; 1.52 with
+    # two grid-check temporaries, 4.4-4.7 with a stripped list of every line
+    assert peak / (levels * nodes * 4 * 8) <= 1.45
+
+
+def test_transform_peak_memory_allocates_each_trajectory_array_once(tmp_path):
+    # at its peak transform holds the parsed (levels, n, 4) array, the u and v
+    # of every transformed level and the two residual arrays: 1 + 1/2 + 1/2
+    # of the parsed bytes, plus one level's temporaries and the read's own
+    levels, nodes = 40, 513
+    path = big_trajectory_csv(tmp_path, levels, nodes)
+    cfg_path = write(tmp_path, "bridge.cfg", MINIMAL + f"ks_csv = {path}\n")
+    argv = ["transform", "--config", cfg_path, "--quiet", "--out"]
+    assert main(argv + [str(tmp_path / "warm")]) == 0  # warm the imports
+    tracemalloc.start()
+    try:
+        assert main(argv + [str(tmp_path / "o")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured 2.14; 2.84 with residual row lists, their np.array copies
+    # and a full-size rows * rows; any one more full-size residual
+    # temporary, such as np.abs(rows) for the max, gives about 2.36
+    assert peak / (levels * nodes * 4 * 8) <= 2.3
 
 
 def test_read_trajectory_csv_rejects_mismatched_levels(tmp_path):

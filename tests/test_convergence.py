@@ -152,6 +152,19 @@ def test_mini_viscosity_ladder_behaves_linearly():
     assert report.baseline_meta["n_records"] >= 2
 
 
+def test_ladder_slope_band_is_twice_the_worst_fit_residual_over_the_log_span():
+    grid = Grid1D(0.0, 1.0, 64)
+    eps = (0.1, 0.05, 0.025, 0.0125)
+    report = run_ladder(cosine_setup(t_final=0.05), grid, SolverConfig(), eps, stride=10)
+    slope, _, max_res = fit_slope([(r.eps, r.err_sum) for r in report.errors])
+    assert slope == report.fitted_slope
+    assert max_res > 1e-6  # a band that halving would visibly change
+    band = 2.0 * max_res / math.log(max(eps) / min(eps))
+    lo, hi = report.slope_ci
+    assert lo == pytest.approx(slope - band, rel=1e-12, abs=0.0)
+    assert hi == pytest.approx(slope + band, rel=1e-12, abs=0.0)
+
+
 def test_ladder_is_deterministic():
     grid = Grid1D(0.0, 1.0, 64)
     setup = cosine_setup(t_final=0.02)

@@ -265,3 +265,50 @@ def test_residual_is_order_one_on_unrelated_states():
     traj = [noisy(0.0), noisy(0.01), noisy(0.02)]
     res = residual_vs_conservation_form(transformed(traj, grid), grid, PARAMS)
     assert res.l2_gradient > 0.1
+
+
+def old_residual_rows(states, grid, params):
+    """The oracle for residual_vs_conservation_form, built the plain way:
+    row lists, np.array copies of them and one full-size rows * rows."""
+    dt, dx = states[1].t - states[0].t, grid.dx
+    eps, alpha, chi, D = params.epsilon, params.alpha_rate, params.chi, params.D
+    dens_rows, grad_rows = [], []
+    for prev, mid, nxt in zip(states, states[1:], states[2:]):
+        u, v = mid.u, mid.v
+        u_t = (nxt.u[2:-2] - prev.u[2:-2]) / (2.0 * dt)
+        v_t = (nxt.v[2:-2] - prev.v[2:-2]) / (2.0 * dt)
+        fu = u * v
+        fv = eps * v * v - alpha * u
+        fu_x = (fu[3:-1] - fu[1:-3]) / (2.0 * dx)
+        fv_x = (fv[3:-1] - fv[1:-3]) / (2.0 * dx)
+        u_xx = (u[3:-1] - 2.0 * u[2:-2] + u[1:-3]) / dx**2
+        v_xx = (v[3:-1] - 2.0 * v[2:-2] + v[1:-3]) / dx**2
+        dens_rows.append(u_t - chi * fu_x - D * u_xx)
+        grad_rows.append(v_t + fv_x - eps * v_xx)
+    dens, grad = np.array(dens_rows), np.array(grad_rows)
+
+    def l2(rows):
+        return math.sqrt(float(np.mean(dx * np.sum(rows * rows, axis=1))))
+
+    return dens, grad, (l2(dens), float(np.max(np.abs(dens))), l2(grad), float(np.max(np.abs(grad))))
+
+
+@pytest.mark.parametrize("n_cells, n_levels, seed", [(16, 3, 0), (64, 7, 1), (512, 12, 2), (1000, 5, 3)])
+def test_residual_rows_and_norms_are_bitwise_the_row_list_construction(n_cells, n_levels, seed):
+    grid = Grid1D(-1.0, 2.0, n_cells)
+    params = KSParams(D=1.3, chi=0.7, alpha_rate=0.9, epsilon=0.25)
+    rng = np.random.default_rng(seed)
+    traj = [
+        KSState(np.exp(rng.uniform(-1.0, 1.0, grid.n_nodes)), rng.normal(size=grid.n_nodes), 0.01 * j)
+        for j in range(n_levels)
+    ]
+    states = transformed(traj, grid)
+    res = residual_vs_conservation_form(states, grid, params)
+    dens, grad, norms = old_residual_rows(states, grid, params)
+    assert np.all(dens != 0.0) and np.all(grad != 0.0)
+    for new, old in ((res.density_residual, dens), (res.gradient_residual, grad)):
+        assert new.shape == old.shape == (n_levels - 2, n_cells - 3)
+        assert new.dtype == old.dtype and new.flags.c_contiguous
+        assert new.tobytes() == old.tobytes()
+    got = (res.l2_density, res.linf_density, res.l2_gradient, res.linf_gradient)
+    assert [x.hex() for x in got] == [x.hex() for x in norms]

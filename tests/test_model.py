@@ -1,5 +1,6 @@
 """Problem-description types, entropy pair, and initial-data synthesis."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -133,6 +134,28 @@ def test_state_stack_names_the_first_failing_row():
     u[0, 5] = np.inf
     with pytest.raises(ValueError, match="non-finite entries in row 0"):
         State(u, v, 0.0)
+
+
+@pytest.mark.parametrize("field", ["u", "v"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0, -1e-300])
+@pytest.mark.parametrize("shape, at", [((9,), (4,)), ((3, 9), (1, 4))])
+def test_state_rejects_each_bad_value_alone(field, bad, shape, at):
+    u, v = np.zeros(shape), np.ones(shape)
+    (u if field == "u" else v)[at] = bad
+    if field == "u" and np.isfinite(bad):
+        State(u, v, 0.0)  # u may take any finite value
+        return
+    if np.isfinite(bad):
+        match = re.escape(f"v[{', '.join(map(str, at))}] = {bad}")
+    else:
+        match = "non-finite entries" + (" in row 1" if len(shape) == 2 else "$")
+    with pytest.raises(ValueError, match=match):
+        State(u, v, 0.0)
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 9)])
+def test_state_of_zero_size_passes_its_checks(shape):
+    assert State(np.zeros(shape), np.zeros(shape), 0.0).u.shape == shape
 
 
 def test_setup_validation_and_floor_default():

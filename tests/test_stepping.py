@@ -293,6 +293,20 @@ def test_run_stride_record_count():
     assert len(states) == len(diags) == 8
 
 
+def test_run_whose_clock_falls_a_rounding_short_of_t_final_takes_no_sliver_step():
+    # six steps of 0.1 accumulate to 0.5 + 0.1 = 0.6, a rounding short of
+    # t_final = 6 * 0.1: the sixth step is the last, clipped to land on
+    # t_final, not followed by a seventh of about 1e-16
+    grid = Grid1D(0.0, 1.0, 64)
+    setup = ProblemSetup(
+        kind=Kind.IBVP, epsilon=0.05, t_final=6 * 0.1, initial_data=rest_profile(), alpha_floor=1.0
+    )
+    assert sum([0.1] * 6) < setup.t_final
+    states, _ = zip(*run(setup, grid, SolverConfig(dt=0.1)))
+    assert len(states) == 7
+    assert states[-1].t == setup.t_final
+
+
 def test_run_with_a_stride_past_the_last_step_records_initial_and_final():
     # self_convergence reads each grid's final State this way
     grid = Grid1D(0.0, 1.0, 64)
