@@ -13,8 +13,8 @@ chemotaxis (density, chemoattractant) trajectories into these variables
 via the logarithmic-gradient substitution.
 
 Every public name of the submodules imported below is re-exported here.
-Not re-exported: ``cli``, and ``tridiag``, the Thomas solver kept as the
-reference for the FFT diffusion solve.
+Not re-exported: ``cli``, and ``tridiag``, an empty module kept only until
+the benchmark stops importing it.
 """
 
 from . import convergence, diagnostics, ksbridge, model, stepping

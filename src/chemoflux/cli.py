@@ -28,6 +28,7 @@ import numpy as np
 from .convergence import check_ladder, run_ladder, self_convergence
 from .diagnostics import (
     H2_BOUNDARY_STENCIL_NOTE,
+    DiagnosticsRecord,
     entropy_monotonicity_check,
     entropy_residual,
     positivity_floor_check,
@@ -56,10 +57,11 @@ __all__ = [
     "main",
 ]
 
-DIAG_COLUMNS = (
-    "t,entropy_total,dissipation_v,dissipation_u,mass_u,"
-    "mass_v_excess,min_v,sup_abs_ux,h2_u,h2_v"
+# the diagnostics.csv columns: the DiagnosticsRecord fields but the far-field flag
+_DIAG_FIELDS = tuple(
+    f.name for f in dataclasses.fields(DiagnosticsRecord) if f.name != "far_field_ok"
 )
+DIAG_COLUMNS = ",".join(_DIAG_FIELDS)
 
 
 class ConfigError(ValueError):
@@ -277,9 +279,8 @@ def emit_diagnostics_csv(records, path: str):
     """One row per DiagnosticsRecord, ascending t."""
     with _open_out(path) as f:
         f.write(DIAG_COLUMNS + "\n")
-        columns = DIAG_COLUMNS.split(",")
         for d in records:
-            f.write(",".join(_fmt(getattr(d, col)) for col in columns) + "\n")
+            f.write(",".join(_fmt(getattr(d, col)) for col in _DIAG_FIELDS) + "\n")
 
 
 def _json_default(obj):

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import FieldError, Grid1D
+from .model import FieldError, Grid1D, _admissible, _first_fault
 
 __all__ = [
     "KSParams",
@@ -84,10 +84,10 @@ class KSState:
         self.u = np.asarray(self.u, dtype=float)
         if self.c.ndim != 1 or self.c.shape != self.u.shape:
             raise ValueError("c and u must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(self.c)) and np.all(np.isfinite(self.u))):
-            raise ValueError("non-finite entries in chemotaxis state")
-        if np.any(self.c <= 0.0):
-            i = int(np.argmin(self.c))
+        if not _admissible(self.u, self.c):
+            _, i = _first_fault(self.u, self.c)
+            if i is None:
+                raise ValueError("non-finite entries in chemotaxis state")
             raise ValueError(f"c must be strictly positive; c[{i}] = {self.c[i]}")
 
 

@@ -89,10 +89,19 @@ class Grid1D:
         return np.linspace(self.x_left, self.x_right, self.n_cells + 1)
 
 
+def _admissible(u: np.ndarray, v: np.ndarray) -> bool:
+    """u finite and v finite and strictly positive, for arrays of one shape:
+    four reductions, no temporaries, and a nan fails every comparison; a
+    zero-size pair, on which min and max would raise, passes."""
+    return not u.size or bool(
+        -np.inf < u.min() and u.max() < np.inf and v.min() > 0.0 and v.max() < np.inf
+    )
+
+
 def _first_fault(u: np.ndarray, v: np.ndarray):
     """(row, node) of the first row, in order, that holds a non-finite value
     (node None) or a v <= 0 (node: the argmin of v in that row); a 1-d state
-    is row 0.  Only for arrays that fail State's checks."""
+    is row 0.  Only for arrays that `_admissible` rejects."""
     u2, v2 = np.atleast_2d(u), np.atleast_2d(v)
     finite = np.isfinite(u2).all(axis=-1) & np.isfinite(v2).all(axis=-1)
     row = int(np.argmax(~finite | (v2 <= 0.0).any(axis=-1)))
@@ -116,14 +125,9 @@ class State:
         self.v = np.asarray(self.v, dtype=float)
         if self.u.ndim not in (1, 2) or self.u.shape != self.v.shape:
             raise ValueError("u and v must be 1-d arrays, or (k, n) stacks, of equal shape")
-        u, v = self.u, self.v
-        # four reductions, no temporaries, and a nan fails every comparison;
-        # a zero-size state, on which min and max would raise, passes
-        if u.size and not (
-            -np.inf < u.min() and u.max() < np.inf and v.min() > 0.0 and v.max() < np.inf
-        ):
-            row, node = _first_fault(u, v)
-            stacked = v.ndim == 2
+        if not _admissible(self.u, self.v):
+            row, node = _first_fault(self.u, self.v)
+            stacked = self.v.ndim == 2
             if node is None:
                 where = f" in row {row}" if stacked else ""
                 raise ValueError(f"state arrays contain non-finite entries{where}")

@@ -170,6 +170,12 @@ def test_readme_config_table_names_exactly_the_config_fields():
     assert named == {f.name for f in dataclasses.fields(cli.RunConfig)}
 
 
+def test_readme_diagnostics_columns_are_the_written_columns():
+    readme = pathlib.Path(os.path.dirname(__file__), "..", "README.md").read_text()
+    line = readme.split("`diagnostics.csv` columns:\n", 1)[1].split("\n", 1)[0]
+    assert re.fullmatch(r"`([^`]*)`\.", line).group(1) == cli.DIAG_COLUMNS
+
+
 def test_effective_config_emits_only_the_active_step_policy():
     assert "cfl = " in emit_effective_config(parse_config(MINIMAL))
     assert "dt = " not in emit_effective_config(parse_config(MINIMAL))
@@ -305,6 +311,27 @@ def test_read_trajectory_csv_reports_an_io_error_inside_numpy_as_cannot_read(tmp
     cfg_path = write(tmp_path, "bridge.cfg", MINIMAL + f"ks_csv = {traj}\n")
     assert main(["transform", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 3
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_read_trajectory_csv_reports_an_io_error_in_the_line_by_line_read_as_cannot_read(
+    tmp_path, monkeypatch, capsys
+):
+    # numpy refuses the whitespace-only line, so the file is opened a second time
+    traj = write(tmp_path, "traj.csv", trajectory_csv_text().replace("\n", "\n \n", 5))
+    opened = []
+
+    def second_open_fails(path, *args, **kwargs):
+        if path == traj:
+            opened.append(path)
+            if len(opened) == 2:
+                raise PermissionError("denied")
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", second_open_fails, raising=False)
+    cfg_path = write(tmp_path, "bridge.cfg", MINIMAL + f"ks_csv = {traj}\n")
+    assert main(["transform", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 3
+    assert len(opened) == 2
+    assert capsys.readouterr().err.startswith(f"run failure: cannot read {traj}: denied")
 
 
 def big_trajectory_csv(tmp_path, levels, nodes):

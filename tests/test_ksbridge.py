@@ -1,5 +1,6 @@
 """Gradient substitution, its exact inverse, rescaling, and residual checks."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -186,12 +187,28 @@ def test_ks_params_validation():
 
 
 def test_ks_state_validation():
-    with pytest.raises(ValueError, match=r"c\[2\]"):
-        KSState(np.array([1.0, 1.0, 0.0]), np.zeros(3), 0.0)
     with pytest.raises(ValueError, match="equal length"):
         KSState(np.ones(4), np.zeros(3), 0.0)
-    with pytest.raises(ValueError, match="finite"):
-        KSState(np.array([1.0, np.inf]), np.zeros(2), 0.0)
+    with pytest.raises(ValueError, match="1-d"):
+        KSState(np.ones((2, 3)), np.zeros((2, 3)), 0.0)
+    # a zero-size state, on which min and max would raise, passes
+    assert KSState(np.ones(0), np.zeros(0), 0.0).c.shape == (0,)
+
+
+@pytest.mark.parametrize("field", ["c", "u"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0, -1e-300])
+def test_ks_state_rejects_each_bad_value_alone(field, bad):
+    c, u = np.ones(9), np.zeros(9)
+    (c if field == "c" else u)[4] = bad
+    if field == "u" and np.isfinite(bad):
+        KSState(c, u, 0.0)  # the density may take any finite value
+        return
+    if np.isfinite(bad):
+        match = re.escape(f"c must be strictly positive; c[4] = {bad}")
+    else:
+        match = "^non-finite entries in chemotaxis state$"
+    with pytest.raises(ValueError, match=match):
+        KSState(c, u, 0.0)
 
 
 # ------------------------------------------------------------------- residual

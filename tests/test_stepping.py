@@ -17,7 +17,6 @@ from chemoflux.stepping import (
     run,
     step,
 )
-from chemoflux.tridiag import TridiagonalSystem, solve_tridiagonal
 
 
 def rest_profile():
@@ -75,30 +74,29 @@ def test_run_checks_stride_before_stepping():
 # ------------------------------------------------------ implicit diffusion solve
 
 
-def thomas_diffuse(rhs, lam, neumann):
-    """Oracle: assemble I - lam*L with its closure rows and eliminate."""
+def dense_diffuse(rhs, lam, neumann):
+    """Oracle: assemble the dense I - lam*L with its closure rows, as criterion
+    10 does, and solve it with numpy.linalg.solve."""
     n = rhs.shape[0]
-    lower = np.full(n - 1, -lam)
-    upper = np.full(n - 1, -lam)
-    diag = np.full(n, 1.0 + 2.0 * lam)
+    dense = (1.0 + 2.0 * lam) * np.eye(n) - lam * (np.eye(n, k=1) + np.eye(n, k=-1))
     b = rhs.copy()
     if neumann:
-        upper[0] = lower[-1] = -2.0 * lam
+        dense[0, 1] = dense[-1, -2] = -2.0 * lam
     else:
-        diag[0] = diag[-1] = 1.0
-        upper[0] = lower[-1] = 0.0
+        dense[[0, -1]] = 0.0
+        dense[0, 0] = dense[-1, -1] = 1.0
         b[0] = b[-1] = 0.0
-    return solve_tridiagonal(TridiagonalSystem(lower, diag, upper, b))
+    return np.linalg.solve(dense, b)
 
 
 @pytest.mark.parametrize("neumann", [True, False])
 @pytest.mark.parametrize("lam", [1e-4, 1.0, 1e3])
 @pytest.mark.parametrize("n", [9, 65, 257, 2049])
-def test_diffusion_solve_matches_tridiagonal_oracle(n, lam, neumann):
+def test_diffusion_solve_matches_dense_oracle(n, lam, neumann):
     rng = np.random.default_rng(n)
     rhs = 1.0 + rng.uniform(-0.5, 0.5, n)
     x = _diffuse(rhs, lam, neumann)
-    ref = thomas_diffuse(rhs, lam, neumann)
+    ref = dense_diffuse(rhs, lam, neumann)
     assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert not np.any(_diffuse(np.zeros(n), lam, neumann))
     if neumann:
