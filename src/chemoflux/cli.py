@@ -483,12 +483,8 @@ def _cmd_entropy_check(cfg: RunConfig, out: str) -> tuple[int, str]:
 
 
 def _cmd_self_converge(cfg: RunConfig, out: str) -> tuple[int, str]:
-    setup, solver = build_setup(cfg), build_solver(cfg)
-    grids = [
-        Grid1D(cfg.x_left, cfg.x_right, cfg.n_cells * 2**k)
-        for k in range(cfg.refine_levels + 1)
-    ]
-    slope, table = self_convergence(setup, grids, solver)
+    setup, grid, solver = build_setup(cfg), build_grid(cfg), build_solver(cfg)
+    slope, table = self_convergence(setup, grid, solver, cfg.refine_levels)
     emit_report_json(
         {
             "slope": slope,
@@ -576,6 +572,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = parse_config(text)
         if name == "transform" and cfg.ks_csv is None:
             raise ConfigError("ks_csv", 0, "transform needs a trajectory CSV path")
+        if name == "converge" and cfg.t_final == 0.0:
+            raise ConfigError("t_final", 0, "converge needs t_final > 0 to compare the rungs")
         if getattr(args, "eps", None) is not None:
             ladder = _convert("--eps", args.eps, 0, "floatlist")
             cfg.eps_ladder = _build(lambda: check_ladder(ladder), {}, {"eps_ladder": "--eps"})

@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord
-from .model import FieldError, Grid1D, Kind, ProblemSetup, make_initial
-from .stepping import LadderError, ProgressError, SolverConfig, _nominal_dt, run
+from .model import FieldError, Grid1D, Kind, ProblemSetup, State, make_initial
+from .stepping import LadderError, ProgressError, SolverConfig, _check_stride, _nominal_dt, _run
 
 __all__ = [
     "RungError",
@@ -126,11 +126,11 @@ def check_ladder(eps_ladder: Sequence[float]) -> tuple:
     return eps
 
 
-def _resolve_shared_dt(setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, eps_max: float):
-    """One fixed dt for every member of a comparison family."""
+def _resolve_shared_dt(initial: State, grid: Grid1D, cfg: SolverConfig, eps_max: float):
+    """One fixed dt for every member of a comparison family, from its initial State."""
     if cfg.dt is not None:
         return cfg.dt, f"fixed dt supplied ({cfg.dt:g})"
-    dt = _nominal_dt(make_initial(setup, grid), eps_max, grid, cfg)
+    dt = _nominal_dt(initial, eps_max, grid, cfg)
     return dt, f"dt = {dt:g} derived once from initial data (cfl = {cfg.cfl:g} at eps = {eps_max:g})"
 
 
@@ -143,25 +143,29 @@ def run_ladder(
 ) -> ConvergenceReport:
     """Step the epsilon ladder against the shared epsilon = 0 baseline.
 
-    Identical initial data, grid, and (fixed) dt for every member, all
-    stepped together as the rows of one stack (see the module docstring).
-    setup_template.epsilon is not read: the baseline runs at 0 and each
-    member at its ladder value.  The member that fails at the earliest step, the baseline first on a
-    tie, raises LadderError naming its epsilon (0.0 for the baseline);
-    a ProgressError (max_steps run out, or a step that cannot move t) is
-    attributed to the baseline.
+    Identical initial data, sampled once, grid, and (fixed) dt for every
+    member, all stepped together as the rows of one stack (see the module
+    docstring).  setup_template.epsilon is not read: the baseline runs at 0
+    and each member at its ladder value.  The member that fails at the
+    earliest step, the baseline first on a tie, raises LadderError naming
+    its epsilon (0.0 for the baseline); a ProgressError (max_steps run out,
+    or a step that cannot move t) is attributed to the baseline.
     """
     eps = check_ladder(eps_ladder)
-    dt, policy = _resolve_shared_dt(setup_template, grid, cfg, max(eps))
+    _check_stride(stride)
+    initial = make_initial(setup_template, grid)
+    dt, policy = _resolve_shared_dt(initial, grid, cfg, max(eps))
     cfg_run = replace(cfg, dt=dt, cfl=None)
     column = np.array((0.0, *eps))[:, None]
+    reps = (column.shape[0], 1)
+    stack = State(np.tile(initial.u, reps), np.tile(initial.v, reps), initial.t)
     far_field_ok = True
     err_u = np.zeros(len(eps))
     err_v = np.zeros(len(eps))
     # per record: t, and (k + 1,) rows of h2_u + h2_v and of the dissipation
     times, h2, diss = [], [], []
     try:
-        for stack, d in run(setup_template, grid, cfg_run, stride, column):
+        for stack, d in _run(setup_template, grid, cfg_run, stride, stack, column):
             times.append(d.t)
             h2.append(d.h2_u + d.h2_v)
             diss.append(d.dissipation_u + d.dissipation_v)
@@ -210,36 +214,31 @@ def run_ladder(
     )
 
 
-def self_convergence(setup: ProblemSetup, grids: Sequence[Grid1D], cfg: SolverConfig):
-    """Richardson-style guard: run on successive factor-2 refinements
-    and compare final states on the shared (coarse) nodes.
+def self_convergence(setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, levels: int):
+    """Richardson-style guard: run on grid and its `levels` successive
+    factor-2 refinements and compare final states on the shared coarse nodes.
 
-    dt is resolved once on the coarsest grid and refined by 4 per spatial
-    halving, keeping the first-order temporal error proportional to the
-    second-order spatial error.  Returns (slope, table); slope is None when
-    fewer than two differences exist or any difference vanishes (e.g. the
-    rest state), in which case the order is not applicable.
+    dt is resolved once on grid and refined by 4 per spatial halving,
+    keeping the first-order temporal error proportional to the second-order
+    spatial error.  Each level's initial data are sampled once, one level at
+    a time.  Returns (slope, table); slope is None when fewer than two
+    differences exist or any difference vanishes (e.g. the rest state), in
+    which case the order is not applicable.
     """
-    grids = list(grids)
-    if len(grids) < 2:
-        raise ValueError("self_convergence needs at least 2 grids")
-    for a, b in zip(grids, grids[1:]):
-        if b.n_cells != 2 * a.n_cells:
-            raise ValueError(
-                f"grids must refine by exactly 2: {a.n_cells} -> {b.n_cells}"
-            )
-        if not (a.x_left == b.x_left and a.x_right == b.x_right):
-            raise ValueError("grids must share the domain")
-
-    dt0, _ = _resolve_shared_dt(setup, grids[0], cfg, setup.epsilon)
+    if int(levels) != levels or levels < 1:
+        raise FieldError("levels", f"levels must be a positive integer, got {levels}")
+    grids = [Grid1D(grid.x_left, grid.x_right, grid.n_cells * 2**k) for k in range(levels + 1)]
     finals = []
     for k, g in enumerate(grids):
+        state = make_initial(setup, g)
+        if k == 0:
+            dt0, _ = _resolve_shared_dt(state, g, cfg, setup.epsilon)
         cfg_k = replace(cfg, dt=dt0 / 4.0**k, cfl=None)
         # only the final State is compared: a stride past any step count
         # yields just the initial and the final record
-        for final, _ in run(setup, g, cfg_k, stride=10**9):
+        for state, _ in _run(setup, g, cfg_k, 10**9, state):
             pass
-        finals.append(final)
+        finals.append(state)
 
     table = []
     for k, (coarse, fine) in enumerate(zip(finals, finals[1:])):

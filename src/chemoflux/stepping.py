@@ -41,9 +41,10 @@ pair per field per step serves the whole stack, and the zero rows skip the
 u solve.  Each row comes out bitwise as its own (n,) step would, and one
 State check over the stack guards every member.
 
-run is the one loop that steps to t_final.  Single runs, viscosity ladders
-(convergence.run_ladder) and refinement studies (convergence.self_convergence)
-all take their States from it, each State with its audit_record.
+_run is the one loop that steps to t_final, each State with its audit_record.
+run is its single-run entry; viscosity ladders (convergence.run_ladder) and
+refinement studies (convergence.self_convergence) build their own initial
+States for it, and only a ladder passes an epsilon column.
 
 The splitting is first order in time.  Refinement studies in this package
 therefore tie dt to dx^2 (or share one fixed dt across runs that get
@@ -279,35 +280,31 @@ def step(state: State, setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig) -> 
     return _advance(state, setup, grid, setup.epsilon, dt, state.t + dt)
 
 
-def run(
-    setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, stride: int = 1, epsilon=None
-):
-    """The one stepping loop: step to t_final (last step clipped to land
-    exactly there), yielding the State at t = 0, every `stride` steps and at
-    t_final, each with its audit_record, far-field monitor included.
+def run(setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, stride: int = 1):
+    """The single run of setup.epsilon on 1-d arrays: step to t_final (last
+    step clipped to land exactly there), yielding the State at t = 0, every
+    `stride` steps and at t_final, each with its audit_record, far-field
+    monitor included.
 
-    With epsilon None this is the run of setup.epsilon on 1-d arrays.  An
-    epsilon column (k, 1), zero rows first, steps k copies of the initial
-    data as one (k, n) stack, row i at epsilon[i], and yields stacked States
-    with every row audited.  stride is checked here, before any step.
-    Stepper failures propagate with the failing time attached (from a stack,
-    as a LadderError naming the failing row's epsilon).  Running out of
-    max_steps, or a step whose dt is too small to move t (t + dt == t),
+    stride is checked and the initial data sampled here, before any step.
+    Stepper failures propagate with the failing time attached.  Running out
+    of max_steps, or a step whose dt is too small to move t (t + dt == t),
     raises ProgressError before that step is taken.  The generator holds no
     State but the current one, so memory grows with the records only if the
     caller keeps them: list(run(...)) keeps every State, records x 2n x 8
     bytes.
     """
     _check_stride(stride)
-    return _run(setup, grid, cfg, stride, epsilon)
+    return _run(setup, grid, cfg, stride, make_initial(setup, grid))
 
 
-def _run(setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, stride: int, epsilon):
-    state = make_initial(setup, grid)
+def _run(
+    setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, stride: int, state: State, epsilon=None
+):
+    """The loop behind run, from a State and a stride the caller checked: 1-d
+    at setup.epsilon, or with an epsilon column (k, 1), zero rows first, a
+    (k, n) stack whose first failing row raises LadderError at its epsilon."""
     eps = setup.epsilon if epsilon is None else epsilon
-    if epsilon is not None:
-        rows = (epsilon.shape[0], 1)
-        state = State(np.tile(state.u, rows), np.tile(state.v, rows), state.t)
     yield state, audit_record(state, grid, setup, epsilon)
     t_final = setup.t_final
     steps = 0

@@ -558,6 +558,15 @@ def test_converge_eps_override_validation(tmp_path, capsys):
     assert "'--eps'" in capsys.readouterr().err
 
 
+def test_converge_rejects_t_final_zero_before_writing(tmp_path, capsys):
+    # a ladder that never steps has no differences to fit a rate to
+    cfg_path = write(tmp_path, "ladder.cfg", "kind = ibvp\nepsilon = 0.05\nt_final = 0\n")
+    out = tmp_path / "o"
+    assert main(["converge", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "'t_final'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_converge_echoes_the_eps_ladder_that_ran(tmp_path, capsys):
     cfg_path = write(
         tmp_path, "ladder.cfg", "kind = ibvp\nepsilon = 0.05\nt_final = 0.01\nn_cells = 64\n"

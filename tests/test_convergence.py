@@ -19,7 +19,7 @@ from chemoflux.convergence import (
     self_convergence,
 )
 from chemoflux.diagnostics import DiagnosticsRecord
-from chemoflux.model import Family, Grid1D, InitialProfile, Kind, ProblemSetup
+from chemoflux.model import FieldError, Family, Grid1D, InitialProfile, Kind, ProblemSetup
 from chemoflux.stepping import (
     DivergenceError,
     PositivityLossError,
@@ -245,6 +245,7 @@ def test_ladder_names_the_member_that_fails_first(monkeypatch, faults, eps, inde
         assert isinstance(err.cause, PositivityLossError)
         assert err.cause.index == index
     assert err.cause.t == pytest.approx(t, rel=1e-12)
+    assert err.__cause__ is err.cause
 
 
 def count_rfft(monkeypatch):
@@ -338,10 +339,12 @@ def test_stride_one_ladder_energies_are_bitwise_the_member_runs(kind):
     assert report.baseline_meta["energy"] == energy_functional(base)
 
 
-def test_ladder_audits_each_record_once_and_builds_no_member_states(monkeypatch):
-    audits, states = [], []
+@pytest.mark.parametrize("cfg", [SolverConfig(dt=1e-3), SolverConfig(cfl=0.4)], ids=["dt", "cfl"])
+def test_ladder_audits_each_record_once_and_builds_no_member_states(monkeypatch, cfg):
+    audits, states, steps = [], [], []
     audit = stepping.audit_record
     post_init = model.State.__post_init__
+    kernel = stepping.coupled_imex_step
 
     def counted_audit(state, *args, **kw):
         audits.append(state.u.shape)
@@ -351,22 +354,31 @@ def test_ladder_audits_each_record_once_and_builds_no_member_states(monkeypatch)
         states.append(None)
         post_init(self)
 
+    def counted_kernel(*args, **kw):
+        steps.append(None)
+        return kernel(*args, **kw)
+
     monkeypatch.setattr(stepping, "audit_record", counted_audit)
     monkeypatch.setattr(model.State, "__post_init__", counted_post_init)
-    grid, dt, steps = Grid1D(0.0, 1.0, 64), 1e-3, 30
-    setup = cosine_setup(t_final=(steps - 0.5) * dt)
-    built = {}
+    monkeypatch.setattr(stepping, "coupled_imex_step", counted_kernel)
+    grid = Grid1D(0.0, 1.0, 64)
+    # 30 steps at dt = 1e-3, the last one clipped
+    setup = cosine_setup(t_final=29.5e-3)
     for rungs in (3, 6):
         audits.clear()
         states.clear()
+        steps.clear()
         eps = tuple(0.1 / 2**i for i in range(rungs))
-        report = run_ladder(setup, grid, SolverConfig(dt=dt), eps, stride=7)
-        # records at t = 0, steps 7, 14, 21, 28 and the final step 30
-        assert report.baseline_meta["n_records"] == 6
-        assert audits == [(rungs + 1, grid.n_nodes)] * 6
-        built[rungs] = len(states)
-    # one State per step of the whole stack, whatever the number of members
-    assert built[3] == built[6]
+        report = run_ladder(setup, grid, cfg, eps, stride=7)
+        # records at t = 0, every 7th step and the final step
+        records = -(-len(steps) // 7) + 1
+        assert report.baseline_meta["n_records"] == records
+        if cfg.dt is not None:
+            assert len(steps) == 30
+        assert audits == [(rungs + 1, grid.n_nodes)] * records
+        # the initial data sampled once, the tiled stack, and one State per
+        # step of the whole stack, whatever the number of members
+        assert len(states) == len(steps) + 2
 
 
 def test_ladder_memory_does_not_grow_with_the_record_count():
@@ -394,17 +406,12 @@ def test_ladder_memory_does_not_grow_with_the_record_count():
 # ------------------------------------------------------------ self_convergence
 
 
-def test_self_convergence_grid_validation():
-    setup = cosine_setup(t_final=0.01)
-    cfg = SolverConfig()
-    with pytest.raises(ValueError):
-        self_convergence(setup, [Grid1D(0.0, 1.0, 64)], cfg)
-    with pytest.raises(ValueError):
-        self_convergence(setup, [Grid1D(0.0, 1.0, 64), Grid1D(0.0, 1.0, 192)], cfg)
-    with pytest.raises(ValueError):
-        self_convergence(
-            setup, [Grid1D(0.0, 1.0, 64), Grid1D(0.0, 2.0, 128)], cfg
-        )
+@pytest.mark.parametrize("levels", [0, -1, 1.5])
+def test_self_convergence_levels_validation(levels):
+    with pytest.raises(FieldError) as info:
+        self_convergence(cosine_setup(t_final=0.01), Grid1D(0.0, 1.0, 64), SolverConfig(), levels)
+    assert info.value.fields == ("levels",)
+    assert str(levels) in str(info.value)
 
 
 def test_self_convergence_rest_state_has_no_order():
@@ -416,8 +423,7 @@ def test_self_convergence_rest_state_has_no_order():
     setup = ProblemSetup(
         kind=Kind.IBVP, epsilon=0.05, t_final=0.01, initial_data=profile, alpha_floor=1.0
     )
-    grids = [Grid1D(0.0, 1.0, 64), Grid1D(0.0, 1.0, 128), Grid1D(0.0, 1.0, 256)]
-    slope, table = self_convergence(setup, grids, SolverConfig())
+    slope, table = self_convergence(setup, Grid1D(0.0, 1.0, 64), SolverConfig(), levels=2)
     assert slope is None
     assert len(table) == 2
     for row in table:
@@ -426,9 +432,8 @@ def test_self_convergence_rest_state_has_no_order():
 
 def test_self_convergence_smooth_run_is_second_order():
     setup = cosine_setup(epsilon=0.05, t_final=0.02)
-    grids = [Grid1D(0.0, 1.0, n) for n in (128, 256, 512, 1024)]
-    cfg = SolverConfig(dt=grids[0].dx ** 2)
-    slope, table = self_convergence(setup, grids, cfg)
+    grid = Grid1D(0.0, 1.0, 128)
+    slope, table = self_convergence(setup, grid, SolverConfig(dt=grid.dx**2), levels=3)
     assert slope is not None
     assert slope >= 1.8
     diffs = [row.diff for row in table]

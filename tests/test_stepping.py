@@ -2,12 +2,10 @@
 import numpy as np
 import pytest
 
-from chemoflux import stepping
 from chemoflux.diagnostics import positivity_floor_check, trapezoid
-from chemoflux.model import Family, Grid1D, InitialProfile, Kind, ProblemSetup, State, make_initial
+from chemoflux.model import FieldError, Family, Grid1D, InitialProfile, Kind, ProblemSetup, State, make_initial
 from chemoflux.stepping import (
     DivergenceError,
-    LadderError,
     PositivityLossError,
     ProgressError,
     SolverConfig,
@@ -64,11 +62,13 @@ def test_solver_config_dt_cfl_exclusive_and_defaults():
         SolverConfig(max_steps=0)
 
 
-def test_run_checks_stride_before_stepping():
+def test_run_checks_stride_and_initial_data_before_stepping():
     # raised by the call itself, before anything iterates the run
     for stride in (0, 1.5):
         with pytest.raises(ValueError, match="stride"):
             run(cosine_setup(), Grid1D(0.0, 1.0, 64), SolverConfig(dt=0.01), stride)
+    with pytest.raises(FieldError, match="unit-interval runs need the grid"):
+        run(cosine_setup(), Grid1D(0.0, 2.0, 64), SolverConfig(dt=0.01))
 
 
 # ------------------------------------------------------ implicit diffusion solve
@@ -306,7 +306,7 @@ def test_run_whose_clock_falls_a_rounding_short_of_t_final_takes_no_sliver_step(
 
 
 def test_run_with_a_stride_past_the_last_step_records_initial_and_final():
-    # self_convergence reads each grid's final State this way
+    # self_convergence reads each level's final State this way, through _run
     grid = Grid1D(0.0, 1.0, 64)
     setup = cosine_setup(epsilon=0.05, t_final=0.1)
     every, _ = zip(*run(setup, grid, SolverConfig(dt=0.004)))
@@ -397,36 +397,6 @@ def test_divergence_reports_time():
             step(state, setup, grid, SolverConfig(dt=1e-6))
     assert info.value.t == 1e-6
     assert issubclass(DivergenceError, RuntimeError)
-
-
-@pytest.mark.parametrize(
-    "row, field, value, cause",
-    [
-        (2, "v", -0.5, PositivityLossError),
-        (0, "v", -0.5, PositivityLossError),
-        (3, "u", np.nan, DivergenceError),
-        (1, "v", np.inf, DivergenceError),
-    ],
-)
-def test_stack_failure_raises_ladder_error_at_the_rows_epsilon(monkeypatch, row, field, value, cause):
-    kernel = stepping.coupled_imex_step
-
-    def spoiled(u, v, *args, **kw):
-        un, vn = kernel(u, v, *args, **kw)
-        (un if field == "u" else vn)[row, 17] = value
-        return un, vn
-
-    monkeypatch.setattr(stepping, "coupled_imex_step", spoiled)
-    column = np.array([[0.0], [0.1], [0.05], [0.025]])
-    setup, grid = cosine_setup(t_final=0.01), Grid1D(0.0, 1.0, 64)
-    with pytest.raises(LadderError) as info:
-        list(run(setup, grid, SolverConfig(dt=1e-3), epsilon=column))
-    assert info.value.eps == column[row, 0]
-    assert isinstance(info.value.cause, cause)
-    assert info.value.__cause__ is info.value.cause
-    assert info.value.cause.t == 1e-3
-    if cause is PositivityLossError:
-        assert info.value.cause.index == 17
 
 
 def test_progress_error_when_max_steps_exhausted():
