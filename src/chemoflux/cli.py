@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .convergence import check_ladder, run_ladder, self_convergence
+from .convergence import _check_levels, check_ladder, run_ladder, self_convergence
 from .diagnostics import (
     H2_BOUNDARY_STENCIL_NOTE,
     DiagnosticsRecord,
@@ -204,8 +204,6 @@ def parse_config(text: str) -> RunConfig:
     vals = {k: _convert(k, v, ln, _KEY_TYPES[k]) for k, (v, ln) in raw.items()}
     lines = {k: ln for k, (_, ln) in raw.items()}
     cfg = RunConfig(**{**_KIND_DEFAULTS[vals["kind"]], **vals})
-    if cfg.refine_levels < 1:
-        raise ConfigError("refine_levels", lines.get("refine_levels", 0), "must be >= 1")
 
     # build every domain object once, so each invariant is enforced by its
     # own constructor before any run starts
@@ -213,6 +211,7 @@ def parse_config(text: str) -> RunConfig:
     setup = _build(lambda: build_setup(cfg), lines)
     solver = _build(lambda: build_solver(cfg), lines)
     _build(lambda: _check_stride(cfg.stride), lines)
+    _build(lambda: _check_levels(cfg.refine_levels), lines, {"levels": "refine_levels"})
     _build(lambda: make_initial(setup, grid), lines)
     _build(lambda: check_ladder(cfg.eps_ladder), lines)
     _build(lambda: KSParams(cfg.ks_d, cfg.ks_chi, cfg.ks_alpha, cfg.ks_epsilon), lines, _KS_KEYS)

@@ -126,6 +126,11 @@ def check_ladder(eps_ladder: Sequence[float]) -> tuple:
     return eps
 
 
+def _check_levels(levels):
+    if int(levels) != levels or levels < 1:
+        raise FieldError("levels", f"levels must be a positive integer, got {levels}")
+
+
 def _resolve_shared_dt(initial: State, grid: Grid1D, cfg: SolverConfig, eps_max: float):
     """One fixed dt for every member of a comparison family, from its initial State."""
     if cfg.dt is not None:
@@ -149,11 +154,21 @@ def run_ladder(
     and each member at its ladder value.  The member that fails at the
     earliest step, the baseline first on a tie, raises LadderError naming
     its epsilon (0.0 for the baseline); a ProgressError (max_steps run out,
-    or a step that cannot move t) is attributed to the baseline.
+    or a step that cannot move t) is attributed to the baseline.  Initial
+    data that are exactly the rest state (0, v_inf) raise FieldError before
+    any step: every member would stay there, and no rate can be fitted to
+    errors that are all 0.
     """
     eps = check_ladder(eps_ladder)
     _check_stride(stride)
     initial = make_initial(setup_template, grid)
+    if not initial.u.any() and np.all(initial.v == setup_template.v_infinity):
+        raise FieldError(
+            ("amplitude_u", "amplitude_v"),
+            f"the initial data are the rest state (0, {setup_template.v_infinity:g}) "
+            "(amplitude_u = amplitude_v = 0?): every rung's error would be exactly 0, "
+            "so no rate can be fitted",
+        )
     dt, policy = _resolve_shared_dt(initial, grid, cfg, max(eps))
     cfg_run = replace(cfg, dt=dt, cfl=None)
     column = np.array((0.0, *eps))[:, None]
@@ -225,8 +240,7 @@ def self_convergence(setup: ProblemSetup, grid: Grid1D, cfg: SolverConfig, level
     differences exist or any difference vanishes (e.g. the rest state), in
     which case the order is not applicable.
     """
-    if int(levels) != levels or levels < 1:
-        raise FieldError("levels", f"levels must be a positive integer, got {levels}")
+    _check_levels(levels)
     grids = [Grid1D(grid.x_left, grid.x_right, grid.n_cells * 2**k) for k in range(levels + 1)]
     finals = []
     for k, g in enumerate(grids):

@@ -74,6 +74,14 @@ class Grid1D:
             )
         if int(self.n_cells) != self.n_cells or self.n_cells < 8:
             raise FieldError("n_cells", f"n_cells must be an integer >= 8, got {self.n_cells}")
+        # in Python floats, which overflow to inf without a warning
+        dx = (float(self.x_right) - float(self.x_left)) / self.n_cells
+        if not 0.0 < dx < np.inf:
+            raise FieldError(
+                ("x_left", "x_right"),
+                f"the grid spacing (x_right - x_left) / n_cells must be finite and positive, "
+                f"got {dx} on [{self.x_left}, {self.x_right}]",
+            )
 
     @property
     def dx(self) -> float:
@@ -257,16 +265,17 @@ def _one_sided_ddx(f: np.ndarray, dx: float, left: bool) -> float:
     return (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dx)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is judged by value, as a step's is
 def make_initial(setup: ProblemSetup, grid: Grid1D) -> State:
-    """Sample the initial profile on the grid and verify admissibility.
+    """Sample the initial profile on the grid, admit it, then check it.
 
-    Truncated-line runs require far-field contact at the end nodes
-    (|u0|, |v0 - v_inf| <= 1e-12); the end nodes are then snapped to the
-    exact far-field constants.  Unit-interval runs require the grid [0, 1]
-    and wall compatibility: u0 = 0 at both walls (snapped to exactly zero
-    after the check) and a vanishing one-sided derivative of v0, up to the
-    stencil's own truncation error.  alpha_floor must not exceed min(v0).
-    """
+    The State check admits the samples (finite, v > 0; overflow fails it),
+    and the compatibility checks run on them: alpha_floor <= min(v0); on a
+    truncated line far-field contact at the end nodes (|u0|, |v0 - v_inf|
+    <= 1e-12), which are then snapped to the far-field constants; between
+    walls the grid [0, 1], u0 = 0 at both (snapped to exactly zero) and a
+    vanishing one-sided v0 derivative, up to the stencil's own truncation
+    error.  Every rejection is a FieldError."""
     prof = setup.initial_data
     if setup.kind is Kind.IBVP and not (grid.x_left == 0.0 and grid.x_right == 1.0):
         raise FieldError(
@@ -292,14 +301,11 @@ def make_initial(setup: ProblemSetup, grid: Grid1D) -> State:
         shape = ("custom_u", "custom_v")
         if u0.shape != x.shape or v0.shape != x.shape:
             raise FieldError(shape, "custom profile callables must return arrays shaped like x")
-    u0 = u0.astype(float).copy()
-    v0 = v0.astype(float).copy()
-
-    if np.any(v0 <= 0.0):
-        i = int(np.argmin(v0))
-        raise FieldError(
-            ("amplitude_v", "v_infinity") + shape, f"initial v is not positive: v0[{i}] = {v0[i]}"
-        )
+    try:  # astype copies, so the snaps below never write into a caller's array
+        state = State(u0.astype(float), v0.astype(float), 0.0)
+    except ValueError as exc:
+        raise FieldError(("amplitude_v", "v_infinity") + shape, f"initial data: {exc}") from None
+    u0, v0 = state.u, state.v
     if setup.alpha_floor - float(v0.min()) > 1e-12:
         raise FieldError(
             ("alpha_floor", "amplitude_v"),
@@ -343,4 +349,4 @@ def make_initial(setup: ProblemSetup, grid: Grid1D) -> State:
                 f"wall compatibility violated: one-sided v0 derivatives are "
                 f"({dv[0]:.3e}, {dv[1]:.3e}), tolerances ({tol[0]:.3e}, {tol[1]:.3e})",
             )
-    return State(u0, v0, 0.0)
+    return state

@@ -9,8 +9,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chemoflux.cli as cli
+import chemoflux.stepping as stepping
 from chemoflux.cli import (
     ConfigError,
     emit_effective_config,
@@ -20,10 +23,19 @@ from chemoflux.cli import (
     read_ks_trajectory_csv,
 )
 from chemoflux.convergence import ConvergenceReport, RungError
-from chemoflux.model import Family, Kind
+from chemoflux.model import Family, Kind, make_initial
 from chemoflux.stepping import run
 
 MINIMAL = "kind = ibvp\nepsilon = 0.05\nt_final = 0.5\n"
+
+# all-finite configs whose data or grid spacing overflow to inf
+OVERFLOWING_V0 = (
+    "kind = ibvp\nepsilon = 0\nt_final = 0.1\nv_infinity = 1.7e308\namplitude_v = 1e307\n"
+    "n_cells = 16\n"
+)
+OVERFLOWING_WIDTH = (
+    "kind = cauchy\nepsilon = 0\nt_final = 0.1\nx_left = -1e308\nx_right = 1e308\nn_cells = 16\n"
+)
 
 TINY_RUN = (
     "kind = ibvp\n"
@@ -100,6 +112,8 @@ def test_parse_comments_blanks_and_inline_comments():
         (MINIMAL + "profile = gaussian\n", "profile", 4),
         # the derived floor 1 - 1.5 is blamed on the key that set it
         (MINIMAL + "amplitude_v = 1.5\n", "amplitude_v", 4),
+        (OVERFLOWING_V0, "amplitude_v", 5),
+        (OVERFLOWING_WIDTH, "x_left", 4),
     ],
 )
 def test_parse_rejects_bad_configs_naming_key_and_line(text, key, line_no):
@@ -120,6 +134,43 @@ def test_exit_2_on_non_finite_config_values(tmp_path, capsys, extra):
     key = extra.split(" ", 1)[0]
     assert f"'{key}'" in capsys.readouterr().err
     assert not os.path.exists(str(tmp_path / "o"))
+
+
+@pytest.mark.parametrize(
+    "text, key, line_no",
+    [(OVERFLOWING_V0, "amplitude_v", 5), (OVERFLOWING_WIDTH, "x_left", 4)],
+    ids=["v0", "width"],
+)
+def test_exit_2_on_finite_configs_that_overflow(tmp_path, capsys, text, key, line_no):
+    cfg_path = write(tmp_path, "big.cfg", text)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 2
+    assert f"config error at '{key}' (line {line_no})" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_EXTREMES = [0.0, 1.0, -1.0, 0.5, 1e-300, -1e-300, 1e300, -1e300, 1.7e308, -1.7e308, 1e307]
+_DATA_KEYS = ["v_infinity", "amplitude_u", "amplitude_v", "width", "x_left", "x_right", "alpha_floor"]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(["ibvp", "cauchy"]),
+    values=st.dictionaries(st.sampled_from(_DATA_KEYS), st.sampled_from(_EXTREMES), max_size=4),
+)
+def test_parse_rejects_or_admits_finite_data_on_a_finite_grid(kind, values):
+    text = f"kind = {kind}\nepsilon = 0\nt_final = 0.1\nn_cells = 16\n" + "".join(
+        f"{k} = {v!r}\n" for k, v in values.items()
+    )
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    grid = cli.build_grid(cfg)
+    assert 0.0 < grid.dx < math.inf
+    state = make_initial(cli.build_setup(cfg), grid)
+    assert np.isfinite(state.u).all() and np.isfinite(state.v).all()
+    assert (state.v > 0.0).all()
 
 
 def test_parse_missing_required_key():
@@ -565,6 +616,29 @@ def test_converge_rejects_t_final_zero_before_writing(tmp_path, capsys):
     assert main(["converge", "--config", cfg_path, "--out", str(out)]) == 2
     assert "'t_final'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_converge_rejects_a_rest_state_ladder_before_any_step(tmp_path, capsys, monkeypatch):
+    # every rung's error would be exactly 0: no rate to fit
+    calls = []
+    kernel = stepping.coupled_imex_step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(stepping, "coupled_imex_step", counted)
+    cfg_path = write(
+        tmp_path,
+        "rest.cfg",
+        "kind = ibvp\nepsilon = 0.05\nt_final = 0.01\nn_cells = 64\n"
+        "amplitude_u = 0\namplitude_v = 0\n",
+    )
+    out = tmp_path / "o"
+    assert main(["converge", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "amplitude_u" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+    assert calls == []
 
 
 def test_converge_echoes_the_eps_ladder_that_ran(tmp_path, capsys):

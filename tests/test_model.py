@@ -231,8 +231,22 @@ def wrong_shape_profile():
             ),
             ("custom_u", "custom_v"),
         ),
+        (lambda: Grid1D(-1e308, 1e308, 16), ("x_left", "x_right")),
+        (
+            lambda: make_initial(
+                ProblemSetup(
+                    kind=Kind.IBVP,
+                    epsilon=0.0,
+                    t_final=1.0,
+                    initial_data=InitialProfile(family=Family.COSINE_PAIR, amplitude_v=1e307),
+                    v_infinity=1.7e308,
+                ),
+                Grid1D(0.0, 1.0, 16),
+            ),
+            ("amplitude_v", "v_infinity", "family"),
+        ),
     ],
-    ids=["width=0", "width<0", "kind-as-str", "custom-shape"],
+    ids=["width=0", "width<0", "kind-as-str", "custom-shape", "grid-overflow", "v0-overflow"],
 )
 def test_field_errors_name_their_field(make, fields):
     with pytest.raises(FieldError) as info:
@@ -323,6 +337,17 @@ def test_custom_positive_v_enforced():
     )
     with pytest.raises(ValueError):
         make_initial(setup, grid)
+
+
+def test_initial_data_are_copies_of_the_custom_arrays():
+    # the end nodes are snapped in the admitted copies, not in the caller's arrays
+    grid = Grid1D(0.0, 1.0, 64)
+    u, v = 1e-13 * np.ones(grid.n_nodes), np.ones(grid.n_nodes)
+    profile = InitialProfile(family=Family.CUSTOM, custom_u=lambda x: u, custom_v=lambda x: v)
+    setup = ProblemSetup(kind=Kind.IBVP, epsilon=0.0, t_final=1.0, initial_data=profile, alpha_floor=1.0)
+    state = make_initial(setup, grid)
+    assert state.u[0] == state.u[-1] == 0.0
+    assert (u == 1e-13).all() and (v == 1.0).all()
 
 
 def test_boundary_tolerance_is_tight():
