@@ -2,7 +2,7 @@
 
 Config format: flat ``key = value`` lines, ``#`` comments, no nesting.
 The keys are the fields of RunConfig; kind, epsilon and t_final are required.
-Every applied default, and a ``--eps`` ladder, is echoed into
+Every applied default, and the ``--out`` directory, is echoed into
 ``effective_config.cfg`` in the output directory under a ``# chemoflux
 <command>`` comment line, and re-running that command from that file
 reproduces all outputs bit-identically (nothing here is randomized or
@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .convergence import _check_levels, check_ladder, run_ladder, self_convergence
+from .convergence import _check_levels, _check_rungs_differ, check_ladder, run_ladder, self_convergence
 from .diagnostics import (
     H2_BOUNDARY_STENCIL_NOTE,
     DiagnosticsRecord,
@@ -173,12 +173,15 @@ def _build(make, lines: dict, keys: dict = _FIELD_KEYS):
         raise ConfigError(key, lines.get(key, 0), str(exc)) from exc
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate a flat key = value config.
+def parse_config(text: str, command: str = "run") -> RunConfig:
+    """Parse and fully validate a flat key = value config for one of the
+    COMMANDS, including what that command alone needs.
 
     Raises ConfigError naming the key and line on unknown keys, type
-    mismatches, or invariant violations.
+    mismatches, or invariant violations; ValueError on an unknown command.
     """
+    if command not in COMMANDS:
+        raise ValueError(f"unknown command {command!r}; expected one of {tuple(COMMANDS)}")
     raw: dict = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -212,9 +215,17 @@ def parse_config(text: str) -> RunConfig:
     solver = _build(lambda: build_solver(cfg), lines)
     _build(lambda: _check_stride(cfg.stride), lines)
     _build(lambda: _check_levels(cfg.refine_levels), lines, {"levels": "refine_levels"})
-    _build(lambda: make_initial(setup, grid), lines)
+    try:
+        initial = _build(lambda: make_initial(setup, grid), lines)
+    except MemoryError:
+        message = f"a grid of {cfg.n_cells} cells cannot be allocated"
+        raise ConfigError("n_cells", lines.get("n_cells", 0), message) from None
     _build(lambda: check_ladder(cfg.eps_ladder), lines)
     _build(lambda: KSParams(cfg.ks_d, cfg.ks_chi, cfg.ks_alpha, cfg.ks_epsilon), lines, _KS_KEYS)
+    if command == "converge":
+        _build(lambda: _check_rungs_differ(setup, initial), lines)
+    if command == "transform" and cfg.ks_csv is None:
+        raise ConfigError("ks_csv", 0, "transform needs a trajectory CSV path")
     # echo the resolved alpha_floor and step policy instead of leaving them implicit
     cfg.alpha_floor = setup.alpha_floor
     cfg.cfl = solver.cfl
@@ -555,8 +566,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p.add_argument("--config", required=True, help="path to a key = value config file")
         p.add_argument("--out", default=None, help="output directory (default from config, else ./chemoflux_out)")
         p.add_argument("--quiet", action="store_true", help="suppress the summary line")
-        if name == "converge":
-            p.add_argument("--eps", default=None, help="comma list overriding eps_ladder")
     args = parser.parse_args(argv)
     name = args.command
 
@@ -568,19 +577,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     try:
-        cfg = parse_config(text)
-        if name == "transform" and cfg.ks_csv is None:
-            raise ConfigError("ks_csv", 0, "transform needs a trajectory CSV path")
-        if name == "converge" and cfg.t_final == 0.0:
-            raise ConfigError("t_final", 0, "converge needs t_final > 0 to compare the rungs")
-        if getattr(args, "eps", None) is not None:
-            ladder = _convert("--eps", args.eps, 0, "floatlist")
-            cfg.eps_ladder = _build(lambda: check_ladder(ladder), {}, {"eps_ladder": "--eps"})
+        cfg = parse_config(text, name)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
 
-    # the echo is the config that runs: --eps and --out resolved into it
+    # the echo is the config that runs: --out resolved into it
     out = args.out or cfg.out_dir or "chemoflux_out"
     cfg.out_dir = out
     try:

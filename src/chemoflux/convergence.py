@@ -131,6 +131,21 @@ def _check_levels(levels):
         raise FieldError("levels", f"levels must be a positive integer, got {levels}")
 
 
+def _check_rungs_differ(setup: ProblemSetup, initial: State):
+    """A ladder fits a rate to its rungs' distances from the baseline, so
+    they must be able to differ: t_final > 0, and initial data that are not
+    exactly the rest state (0, v_inf), which every member keeps."""
+    if setup.t_final == 0.0:
+        raise FieldError("t_final", "a ladder needs t_final > 0 to compare its rungs")
+    if not initial.u.any() and np.all(initial.v == setup.v_infinity):
+        raise FieldError(
+            ("amplitude_u", "amplitude_v"),
+            f"the initial data are the rest state (0, {setup.v_infinity:g}) "
+            "(amplitude_u = amplitude_v = 0?): every rung's error would be exactly 0, "
+            "so no rate can be fitted",
+        )
+
+
 def _resolve_shared_dt(initial: State, grid: Grid1D, cfg: SolverConfig, eps_max: float):
     """One fixed dt for every member of a comparison family, from its initial State."""
     if cfg.dt is not None:
@@ -154,21 +169,15 @@ def run_ladder(
     and each member at its ladder value.  The member that fails at the
     earliest step, the baseline first on a tie, raises LadderError naming
     its epsilon (0.0 for the baseline); a ProgressError (max_steps run out,
-    or a step that cannot move t) is attributed to the baseline.  Initial
-    data that are exactly the rest state (0, v_inf) raise FieldError before
-    any step: every member would stay there, and no rate can be fitted to
-    errors that are all 0.
+    or a step that cannot move t) is attributed to the baseline.  A ladder
+    whose rungs cannot differ from the baseline (t_final = 0, or initial
+    data that are exactly the rest state) raises FieldError before any
+    step: no rate can be fitted to errors that are all 0.
     """
     eps = check_ladder(eps_ladder)
     _check_stride(stride)
     initial = make_initial(setup_template, grid)
-    if not initial.u.any() and np.all(initial.v == setup_template.v_infinity):
-        raise FieldError(
-            ("amplitude_u", "amplitude_v"),
-            f"the initial data are the rest state (0, {setup_template.v_infinity:g}) "
-            "(amplitude_u = amplitude_v = 0?): every rung's error would be exactly 0, "
-            "so no rate can be fitted",
-        )
+    _check_rungs_differ(setup_template, initial)
     dt, policy = _resolve_shared_dt(initial, grid, cfg, max(eps))
     cfg_run = replace(cfg, dt=dt, cfl=None)
     column = np.array((0.0, *eps))[:, None]

@@ -343,7 +343,7 @@ def make_initial(setup: ProblemSetup, grid: Grid1D) -> State:
             v0[-1] - 3.0 * v0[-2] + 3.0 * v0[-3] - v0[-4],
         )
         tol = tuple(10.0 * dx**2 * scale + abs(d) / (3.0 * dx) for d in d3)
-        if abs(dv[0]) > tol[0] or abs(dv[1]) > tol[1]:
+        if not (abs(dv[0]) <= tol[0] and abs(dv[1]) <= tol[1]):  # a nan fails it
             raise FieldError(
                 shape + ("amplitude_v",),
                 f"wall compatibility violated: one-sided v0 derivatives are "

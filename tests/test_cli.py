@@ -36,6 +36,18 @@ OVERFLOWING_V0 = (
 OVERFLOWING_WIDTH = (
     "kind = cauchy\nepsilon = 0\nt_final = 0.1\nx_left = -1e308\nx_right = 1e308\nn_cells = 16\n"
 )
+# finite data that miss the wall condition, whose wall derivatives overflow to nan
+NAN_WALL_DERIVATIVES = (
+    "kind = ibvp\nepsilon = 0\nt_final = 0.01\nprofile = gaussian\namplitude_u = 0\n"
+    "v_infinity = 1e308\namplitude_v = 5e307\nn_cells = 16\n"
+)
+
+# configs that every command but converge admits: its rungs could not differ
+T_FINAL_ZERO = "kind = ibvp\nepsilon = 0.05\nt_final = 0\n"
+REST_STATE = (
+    "kind = ibvp\nepsilon = 0.05\nt_final = 0.01\nn_cells = 64\n"
+    "amplitude_u = 0\namplitude_v = 0\n"
+)
 
 TINY_RUN = (
     "kind = ibvp\n"
@@ -114,6 +126,7 @@ def test_parse_comments_blanks_and_inline_comments():
         (MINIMAL + "amplitude_v = 1.5\n", "amplitude_v", 4),
         (OVERFLOWING_V0, "amplitude_v", 5),
         (OVERFLOWING_WIDTH, "x_left", 4),
+        (NAN_WALL_DERIVATIVES, "profile", 4),
     ],
 )
 def test_parse_rejects_bad_configs_naming_key_and_line(text, key, line_no):
@@ -138,8 +151,12 @@ def test_exit_2_on_non_finite_config_values(tmp_path, capsys, extra):
 
 @pytest.mark.parametrize(
     "text, key, line_no",
-    [(OVERFLOWING_V0, "amplitude_v", 5), (OVERFLOWING_WIDTH, "x_left", 4)],
-    ids=["v0", "width"],
+    [
+        (OVERFLOWING_V0, "amplitude_v", 5),
+        (OVERFLOWING_WIDTH, "x_left", 4),
+        (NAN_WALL_DERIVATIVES, "profile", 4),
+    ],
+    ids=["v0", "width", "nan-wall"],
 )
 def test_exit_2_on_finite_configs_that_overflow(tmp_path, capsys, text, key, line_no):
     cfg_path = write(tmp_path, "big.cfg", text)
@@ -155,22 +172,64 @@ _DATA_KEYS = ["v_infinity", "amplitude_u", "amplitude_v", "width", "x_left", "x_
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(
+    command=st.sampled_from(["run", "converge"]),
     kind=st.sampled_from(["ibvp", "cauchy"]),
     values=st.dictionaries(st.sampled_from(_DATA_KEYS), st.sampled_from(_EXTREMES), max_size=4),
 )
-def test_parse_rejects_or_admits_finite_data_on_a_finite_grid(kind, values):
+def test_parse_rejects_or_admits_finite_data_on_a_finite_grid(command, kind, values):
     text = f"kind = {kind}\nepsilon = 0\nt_final = 0.1\nn_cells = 16\n" + "".join(
         f"{k} = {v!r}\n" for k, v in values.items()
     )
     try:
-        cfg = parse_config(text)
+        cfg = parse_config(text, command)
     except ConfigError:
         return
     grid = cli.build_grid(cfg)
     assert 0.0 < grid.dx < math.inf
-    state = make_initial(cli.build_setup(cfg), grid)
+    setup = cli.build_setup(cfg)
+    state = make_initial(setup, grid)
     assert np.isfinite(state.u).all() and np.isfinite(state.v).all()
     assert (state.v > 0.0).all()
+    if command == "converge":  # a ladder's rungs can differ from its baseline
+        assert state.u.any() or not np.all(state.v == setup.v_infinity)
+
+
+@pytest.mark.parametrize(
+    "text, command, key, line_no",
+    [
+        (T_FINAL_ZERO, "converge", "t_final", 3),
+        (REST_STATE, "converge", "amplitude_u", 5),
+        (MINIMAL, "transform", "ks_csv", 0),  # the key is absent, so it has no line
+    ],
+    ids=["t_final-zero", "rest-state", "no-ks_csv"],
+)
+def test_parse_checks_what_the_command_needs(text, command, key, line_no):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text, command)
+    assert (info.value.key, info.value.line) == (key, line_no)
+    # only that command needs it
+    assert parse_config(text, "run") == parse_config(text)
+
+
+def test_parse_rejects_an_unknown_command():
+    with pytest.raises(ValueError, match="unknown command 'sweep'"):
+        parse_config(MINIMAL, "sweep")
+
+
+def test_a_grid_too_large_to_allocate_names_n_cells(tmp_path, capsys, monkeypatch):
+    # no test allocates a huge grid: the refused allocation is simulated
+    def refuse(setup, grid):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "make_initial", refuse)
+    text = "kind = ibvp\nepsilon = 0\nt_final = 0.1\nn_cells = 1e12\n"
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert (info.value.key, info.value.line) == ("n_cells", 4)
+    out = tmp_path / "o"
+    assert main(["run", "--config", write(tmp_path, "big.cfg", text), "--out", str(out)]) == 2
+    assert "config error at 'n_cells' (line 4)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parse_missing_required_key():
@@ -585,36 +644,22 @@ def test_exit_4_when_convergence_threshold_fails(tmp_path, monkeypatch, capsys):
     assert payload["requirement"] == "slope in [0.85, 1.15]"
 
 
-def test_converge_eps_override_validation(tmp_path, capsys):
+def test_converge_takes_its_ladder_from_the_config_only(tmp_path, capsys):
     cfg_path = write(tmp_path, "ladder.cfg", MINIMAL)
-    code = main(
-        ["converge", "--config", cfg_path, "--out", str(tmp_path / "o"), "--eps", "0.1,0.2"]
-    )
-    assert code == 2
-    assert "--eps" in capsys.readouterr().err
-    code = main(
-        ["converge", "--config", cfg_path, "--out", str(tmp_path / "o"), "--eps", "0.1,abc,0.01"]
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "'--eps'" in err and "'0.1,abc,0.01'" in err
-    code = main(
-        ["converge", "--config", cfg_path, "--out", str(tmp_path / "o"), "--eps", "0.1,0.05"]
-    )
-    assert code == 2
-    assert "'--eps'" in capsys.readouterr().err
-    # an empty list is rejected, not read as "no override"
-    code = main(["converge", "--config", cfg_path, "--out", str(tmp_path / "o"), "--eps", ""])
-    assert code == 2
-    assert "'--eps'" in capsys.readouterr().err
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as info:
+        main(["converge", "--config", cfg_path, "--out", str(out), "--eps", "0.1,0.05,0.025"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --eps" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_converge_rejects_t_final_zero_before_writing(tmp_path, capsys):
     # a ladder that never steps has no differences to fit a rate to
-    cfg_path = write(tmp_path, "ladder.cfg", "kind = ibvp\nepsilon = 0.05\nt_final = 0\n")
+    cfg_path = write(tmp_path, "ladder.cfg", T_FINAL_ZERO)
     out = tmp_path / "o"
     assert main(["converge", "--config", cfg_path, "--out", str(out)]) == 2
-    assert "'t_final'" in capsys.readouterr().err
+    assert "config error at 't_final' (line 3)" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -628,25 +673,22 @@ def test_converge_rejects_a_rest_state_ladder_before_any_step(tmp_path, capsys, 
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(stepping, "coupled_imex_step", counted)
-    cfg_path = write(
-        tmp_path,
-        "rest.cfg",
-        "kind = ibvp\nepsilon = 0.05\nt_final = 0.01\nn_cells = 64\n"
-        "amplitude_u = 0\namplitude_v = 0\n",
-    )
+    cfg_path = write(tmp_path, "rest.cfg", REST_STATE)
     out = tmp_path / "o"
     assert main(["converge", "--config", cfg_path, "--out", str(out)]) == 2
-    assert "amplitude_u" in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    assert "config error at 'amplitude_u' (line 5)" in capsys.readouterr().err
+    assert not out.exists()
     assert calls == []
 
 
 def test_converge_echoes_the_eps_ladder_that_ran(tmp_path, capsys):
     cfg_path = write(
-        tmp_path, "ladder.cfg", "kind = ibvp\nepsilon = 0.05\nt_final = 0.01\nn_cells = 64\n"
+        tmp_path,
+        "ladder.cfg",
+        "kind = ibvp\nepsilon = 0.05\nt_final = 0.01\nn_cells = 64\neps_ladder = 0.2,0.1,0.05\n",
     )
     first, again = str(tmp_path / "first"), str(tmp_path / "again")
-    assert main(["converge", "--config", cfg_path, "--out", first, "--eps", "0.2,0.1,0.05"]) == 0
+    assert main(["converge", "--config", cfg_path, "--out", first]) == 0
     summary = capsys.readouterr().out
     echo = os.path.join(first, "effective_config.cfg")
     lines = pathlib.Path(echo).read_text().splitlines()
@@ -667,13 +709,10 @@ def test_converge_mini_ladder_through_cli(tmp_path):
     cfg_path = write(
         tmp_path,
         "ladder.cfg",
-        "kind = ibvp\nepsilon = 0.05\nt_final = 0.05\nn_cells = 64\n",
+        "kind = ibvp\nepsilon = 0.05\nt_final = 0.05\nn_cells = 64\neps_ladder = 0.1,0.05,0.025\n",
     )
     out = str(tmp_path / "o")
-    code = main(
-        ["converge", "--config", cfg_path, "--out", out, "--quiet", "--eps", "0.1,0.05,0.025"]
-    )
-    assert code == 0
+    assert main(["converge", "--config", cfg_path, "--out", out, "--quiet"]) == 0
     payload = json.loads(pathlib.Path(out, "report.json").read_text())
     assert payload["passed"] is True
     assert payload["requirement"] == "slope >= 0.7 and errors monotone"

@@ -131,6 +131,22 @@ def test_ladder_input_validation():
         run_ladder(setup, grid, cfg, [0.05, 0.1, 0.025])  # not decreasing
 
 
+def test_ladder_with_t_final_zero_names_t_final_before_any_step(monkeypatch):
+    # a ladder that never steps has no differences to fit a rate to
+    calls = []
+    kernel = stepping.coupled_imex_step
+
+    def counted(*args, **kw):
+        calls.append(None)
+        return kernel(*args, **kw)
+
+    monkeypatch.setattr(stepping, "coupled_imex_step", counted)
+    with pytest.raises(FieldError) as info:
+        run_ladder(cosine_setup(t_final=0.0), Grid1D(0.0, 1.0, 64), SolverConfig(), (0.1, 0.05, 0.025))
+    assert info.value.fields == ("t_final",)
+    assert calls == []
+
+
 def test_mini_viscosity_ladder_behaves_linearly():
     grid = Grid1D(0.0, 1.0, 64)
     setup = cosine_setup(t_final=0.05)
